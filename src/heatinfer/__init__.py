@@ -2,30 +2,26 @@
 
 from .bayes import (HeaterState, Observation, StateSpec, canonicalize,
                     log_likelihood, log_posterior, log_prior,
-                    make_log_posterior, pack, unpack)
-from .field import (FieldGrid, FieldSample, SensorArray, Wall, field_grid,
-                    jacobian_multipole, observe, temp_free, temp_multipole,
-                    temp_wall)
+                    make_log_posterior, pack)
+from .field import (FieldGrid, SensorArray, Wall, field_grid,
+                    jacobian_multipole, observe, temp_multipole, temperatures)
 from .harness import (ConfigError, ExperimentConfig, RunReport, load_config,
                       parse_config, run_experiment, synthesize)
 from .posterior import (GaussianMixture, PcaReport, best_component, fit_gmm,
                         gmm_density, pca)
 from .sampler import ChainLadder, McmcSchedule, SampleSet, run
-from .shapes import (BoundaryPolygon, DegenerateShapeError, HeaterShape,
-                     MomentData, boundary_points, contains, curve_moments,
-                     moments)
+from .shapes import DegenerateShapeError, HeaterShape, MomentData, curve_moments
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPolygon", "ChainLadder", "ConfigError", "DegenerateShapeError",
-    "ExperimentConfig", "FieldGrid", "FieldSample", "GaussianMixture",
-    "HeaterShape", "HeaterState", "McmcSchedule", "MomentData", "Observation",
-    "PcaReport", "RunReport", "SampleSet", "SensorArray", "StateSpec", "Wall",
-    "best_component", "boundary_points", "canonicalize", "contains",
-    "curve_moments", "field_grid", "fit_gmm", "gmm_density",
-    "jacobian_multipole", "load_config", "log_likelihood", "log_posterior",
-    "log_prior", "make_log_posterior", "moments", "observe", "pack",
-    "parse_config", "pca", "run", "run_experiment", "synthesize", "temp_free",
-    "temp_multipole", "temp_wall", "unpack",
+    "ChainLadder", "ConfigError", "DegenerateShapeError", "ExperimentConfig",
+    "FieldGrid", "GaussianMixture", "HeaterShape", "HeaterState",
+    "McmcSchedule", "MomentData", "Observation", "PcaReport", "RunReport",
+    "SampleSet", "SensorArray", "StateSpec", "Wall", "best_component",
+    "canonicalize", "curve_moments", "field_grid", "fit_gmm", "gmm_density",
+    "jacobian_multipole", "load_config", "log_likelihood",
+    "log_posterior", "log_prior", "make_log_posterior", "observe", "pack",
+    "parse_config", "pca", "run", "run_experiment", "synthesize",
+    "temp_multipole", "temperatures",
 ]

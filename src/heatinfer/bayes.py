@@ -114,17 +114,13 @@ def pack(states) -> np.ndarray:
     return np.concatenate([s.as_array() for s in states])
 
 
-def unpack(x: np.ndarray, n_heaters: int):
-    """Split a stacked vector back into HeaterState blocks."""
+def heaters_from(x: np.ndarray, n_heaters: int):
+    """(HeaterShape, strength) pairs for the forward model, one per block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (BLOCK * n_heaters,):
         raise ValueError(f"expected length {BLOCK * n_heaters}, got {x.shape}")
-    return [HeaterState(*x[BLOCK * h:BLOCK * (h + 1)]) for h in range(n_heaters)]
-
-
-def heaters_from(x: np.ndarray, n_heaters: int):
-    """(HeaterShape, strength) pairs for the forward model."""
-    return [(s.shape(), s.q) for s in unpack(x, n_heaters)]
+    return [(HeaterShape((x[b + 3], x[b + 4]), (x[b], x[b + 1])), x[b + 2])
+            for b in range(0, BLOCK * n_heaters, BLOCK)]
 
 
 def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
@@ -158,17 +154,18 @@ def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
                    quad_n: int = 256) -> float:
     """Gaussian log likelihood of the observations under state x.
 
-    Geometry failures (degenerate shapes, a heater crossing the wall)
-    are reported as -inf so the sampler simply rejects the state.
+    Geometry failures (degenerate shapes, a heater crossing the wall, a
+    non-finite field) are reported as -inf so the sampler simply rejects
+    the state; any other error propagates.
     """
     if obs.noise_sigma <= 0.0:
         raise ValueError("inference requires noise_sigma > 0")
     try:
         h = fieldmod.observe(heaters_from(x, spec.n_heaters), sensors, quad_n)
     except (DegenerateShapeError, fieldmod.WallGeometryError,
-            fieldmod.FieldEvaluationError, ValueError):
+            fieldmod.FieldEvaluationError):
         return -np.inf
-    r = obs.values - h.temperatures
+    r = obs.values - h
     return -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
 
 

@@ -19,30 +19,12 @@ import numpy as np
 
 from . import harness
 from .bayes import heaters_from, pack
-from .field import field_grid
+from .field import FieldEvaluationError, field_grid
 from .harness import ConfigError, load_config
 
 
-def _load(args):
-    seed = getattr(args, "seed", None)
-    steps = getattr(args, "steps", None)
-    if seed is None and steps is None:
-        return load_config(args.config)
-    try:
-        with open(args.config) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"config file {args.config}: {e}")
-    if seed is not None:
-        raw["seed"] = seed
-    if steps is not None:
-        raw["schedule"] = dict(raw.get("schedule", {}))
-        raw["schedule"]["phase2_steps"] = steps
-    return harness.parse_config(raw)
-
-
 def _cmd_synth(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.seed)
     obs = harness.synthesize(config)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "observation.json")
@@ -54,7 +36,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.seed, args.steps)
     report = harness.run_experiment(config, out_dir=args.out, progress=sys.stderr)
     print(os.path.join(args.out, "report.json"))
     best = np.array2string(report.best_mean, precision=4)
@@ -63,7 +45,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.seed)
     if config.grid is None:
         raise ConfigError("grid: config has no grid section")
     if args.report:
@@ -85,7 +67,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = _load(args)
+    config = load_config(args.config, args.seed)
     samples = harness.read_samples(args.samples)
     report = harness.fit_samples(config, samples)
     os.makedirs(args.out, exist_ok=True)
@@ -135,7 +117,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, OSError) as e:
+    except (ConfigError, ValueError, OSError, FieldEvaluationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -60,13 +60,6 @@ class SensorArray:
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """Noiseless temperatures at the sensors, relative to T_ref = 0."""
-
-    temperatures: np.ndarray  # (d,)
-
-
-@dataclass(frozen=True)
 class FieldGrid:
     """Temperatures at the cell centers of a regular grid."""
 
@@ -78,25 +71,29 @@ class FieldGrid:
 _NODE_SHIFT = 1e-9  # outward offset applied when a point hits a quadrature node
 
 
-def _one_heater(shape: HeaterShape, q: float, pts: np.ndarray, quad_n: int,
-                refined: bool = False) -> np.ndarray:
-    """Boundary-integral temperatures of a single heater at pts (m, 2).
-
-    Accuracy near the boundary degrades with node spacing, so the
-    evaluation recurses once at 2*quad_n when any point falls within two
-    node spacings of the boundary.
-    """
-    x, y, dx, dy = boundary_nodes(shape, quad_n)
+def _offsets(shape: HeaterShape, pts: np.ndarray, n: int):
+    """Node-minus-point offsets, their squared lengths, and the tangents."""
+    x, y, dx, dy = boundary_nodes(shape, n)
     rhox = x[None, :] - pts[:, 0:1]
     rhoy = y[None, :] - pts[:, 1:2]
-    r2 = rhox * rhox + rhoy * rhoy
-    r2_min = float(r2.min())
+    return rhox, rhoy, rhox * rhox + rhoy * rhoy, dx, dy
 
-    if not refined:
-        # node spacing bounded by max parameterization speed times step
-        spacing = np.sqrt(float(np.max(dx * dx + dy * dy))) * (2.0 * np.pi / quad_n)
-        if r2_min < (2.0 * spacing) ** 2:
-            return _one_heater(shape, q, pts, 2 * quad_n, refined=True)
+
+def _one_heater(shape: HeaterShape, q: float, pts: np.ndarray, quad_n: int) -> np.ndarray:
+    """Boundary-integral temperatures of a single heater at pts (m, 2).
+
+    Accuracy near the boundary degrades with node spacing, so the nodes
+    are doubled once when any point lies within two node spacings of
+    the boundary.
+    """
+    rhox, rhoy, r2, dx, dy = _offsets(shape, pts, quad_n)
+    # node spacing bounded by max parameterization speed times step
+    spacing = np.sqrt(float(np.max(dx * dx + dy * dy))) * (2.0 * np.pi / quad_n)
+    r2_min = float(r2.min())
+    if r2_min < (2.0 * spacing) ** 2:
+        quad_n *= 2
+        rhox, rhoy, r2, dx, dy = _offsets(shape, pts, quad_n)
+        r2_min = float(r2.min())
 
     if r2_min == 0.0:
         # shift the offending nodes outward along the boundary normal
@@ -113,9 +110,28 @@ def _one_heater(shape: HeaterShape, q: float, pts: np.ndarray, quad_n: int,
     return -q / (8.0 * np.pi) * vals.sum(axis=1) * (2.0 * np.pi / quad_n)
 
 
-def _field_at_points(heaters, pts: np.ndarray, quad_n: int) -> np.ndarray:
-    """Superposed heater temperatures at pts (m, 2)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
+                 quad_n: int = 256) -> np.ndarray:
+    """Superposed heater temperatures at points (m, 2), relative to T_ref = 0.
+
+    heaters is a sequence of (HeaterShape, strength) pairs; overlapping
+    regions superpose additively. With an adiabatic wall every heater
+    gains its mirror image below y = 0, and all heater regions must lie
+    strictly in y > 0.
+    """
+    if quad_n < 32:
+        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
+    if wall is Wall.ADIABATIC_Y0:
+        mirrored = []
+        for shape, q in heaters:
+            _, y, _, _ = boundary_nodes(shape, 256)
+            if float(y.min()) <= 0.0:
+                raise WallGeometryError(
+                    f"heater at {shape.center} crosses the wall y = 0 (min y = {y.min():.4g})"
+                )
+            mirrored.append((shape.mirrored(), q))
+        heaters = list(heaters) + mirrored
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for shape, q in heaters:
         out = out + _one_heater(shape, q, pts, quad_n)
@@ -124,48 +140,9 @@ def _field_at_points(heaters, pts: np.ndarray, quad_n: int) -> np.ndarray:
     return out
 
 
-def temp_free(heaters, point, quad_n: int = 256) -> float:
-    """Temperature at a point in an unbounded medium.
-
-    heaters is a sequence of (HeaterShape, strength) pairs; overlapping
-    regions superpose additively.
-    """
-    if quad_n < 32:
-        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
-    return float(_field_at_points(heaters, np.asarray(point, dtype=float)[None, :], quad_n)[0])
-
-
-def _with_images(heaters):
-    """Original heaters plus their mirror images below y = 0."""
-    mirrored = []
-    for shape, q in heaters:
-        x, y, _, _ = boundary_nodes(shape, 256)
-        if float(y.min()) <= 0.0:
-            raise WallGeometryError(
-                f"heater at {shape.center} crosses the wall y = 0 (min y = {y.min():.4g})"
-            )
-        mirrored.append((shape.mirrored(), q))
-    return list(heaters) + mirrored
-
-
-def temp_wall(heaters, point, quad_n: int = 256) -> float:
-    """Temperature with an adiabatic wall along y = 0 (method of images).
-
-    All heater regions must lie strictly in y > 0.
-    """
-    if quad_n < 32:
-        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
-    return float(
-        _field_at_points(_with_images(heaters), np.asarray(point, dtype=float)[None, :], quad_n)[0]
-    )
-
-
-def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> FieldSample:
-    """Noiseless sensor temperatures for the given heater configuration."""
-    if quad_n < 32:
-        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
-    hs = _with_images(heaters) if sensors.wall is Wall.ADIABATIC_Y0 else heaters
-    return FieldSample(_field_at_points(hs, sensors.points, quad_n))
+def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> np.ndarray:
+    """Noiseless sensor temperatures (d,) for the given heater configuration."""
+    return temperatures(heaters, sensors.points, sensors.wall, quad_n)
 
 
 def _expansion_data(shape: HeaterShape, q: float, moment_n: int):
@@ -245,7 +222,5 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    hs = _with_images(heaters) if wall is Wall.ADIABATIC_Y0 else heaters
-    vals = _field_at_points(hs, pts, quad_n)
+    vals = temperatures(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall, quad_n)
     return FieldGrid(vals.reshape(ny, nx), (xmin, xmax, ymin, ymax), wall)

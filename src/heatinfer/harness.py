@@ -104,13 +104,27 @@ def _err(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
+def _number(v, path: str):
+    """v itself, if it is a finite JSON number."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        _err(path, f"expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        _err(path, f"must be a finite double, got {v}")
+    return v
+
+
+def _numbers(v, path: str, length: int | None = None) -> list:
+    """v itself, if it is a non-empty list of finite numbers of the given length."""
+    if not isinstance(v, list) or not v or (length is not None and len(v) != length):
+        _err(path, f"expected a list of {length or 'one or more'} numbers, got {v!r}")
+    return [_number(e, f"{path}[{i}]") for i, e in enumerate(v)]
+
+
 def _get_number(d: dict, key: str, path: str, default=None, positive=False,
                 nonnegative=False):
-    v = d.get(key, default)
-    if v is None:
+    if key not in d and default is None:
         _err(f"{path}.{key}", "required value missing")
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _err(f"{path}.{key}", f"expected a number, got {v!r}")
+    v = _number(d.get(key, default), f"{path}.{key}")
     if positive and v <= 0:
         _err(f"{path}.{key}", f"must be positive, got {v}")
     if nonnegative and v < 0:
@@ -143,16 +157,12 @@ def _parse_sensors(raw, path="sensors"):
         pts = raw["points"]
         if not isinstance(pts, list) or not pts:
             _err(f"{path}.points", "expected a non-empty list of [x, y] pairs")
-        arr = []
-        for i, p in enumerate(pts):
-            if not (isinstance(p, list) and len(p) == 2):
-                _err(f"{path}.points[{i}]", f"expected [x, y], got {p!r}")
-            arr.append([float(p[0]), float(p[1])])
-        arr = np.asarray(arr)
+        arr = np.asarray([_numbers(p, f"{path}.points[{i}]", 2) for i, p in enumerate(pts)],
+                         dtype=float)
     else:
         count = int(_get_number(raw, "count", path, positive=True))
-        rng = raw.get("range", [-1.0, 1.0])
-        if not (isinstance(rng, list) and len(rng) == 2 and rng[0] < rng[1]):
+        rng = _numbers(raw.get("range", [-1.0, 1.0]), f"{path}.range", 2)
+        if not rng[0] < rng[1]:
             _err(f"{path}.range", f"expected [lo, hi] with lo < hi, got {rng!r}")
         xs = sensor_line(count, rng[0], rng[1])
         arr = np.column_stack([xs, np.zeros(count)])
@@ -178,7 +188,7 @@ def _parse_estimator(raw, truth, path="estimator"):
     raw = raw or {}
     if not isinstance(raw, dict):
         _err(path, "expected an object")
-    n_heaters = int(raw.get("n_heaters", len(truth)))
+    n_heaters = int(_get_number(raw, "n_heaters", path, default=len(truth)))
     if n_heaters < 1:
         _err(f"{path}.n_heaters", "must be >= 1")
     half_plane = bool(raw.get("half_plane", True))
@@ -190,7 +200,8 @@ def _parse_estimator(raw, truth, path="estimator"):
     for name, pair in overrides.items():
         if name not in COMPONENT_NAMES:
             _err(f"{path}.bounds.{name}", f"unknown component (use {COMPONENT_NAMES})")
-        if not (isinstance(pair, list) and len(pair) == 2 and pair[0] < pair[1]):
+        pair = _numbers(pair, f"{path}.bounds.{name}", 2)
+        if not pair[0] < pair[1]:
             _err(f"{path}.bounds.{name}", f"expected [lo, hi] with lo < hi, got {pair!r}")
         block[COMPONENT_NAMES.index(name)] = [float(pair[0]), float(pair[1])]
 
@@ -223,12 +234,8 @@ def _parse_grid(raw, path="grid"):
         return None
     if not isinstance(raw, dict):
         _err(path, "expected an object")
-    region = raw.get("region")
-    res = raw.get("resolution")
-    if not (isinstance(region, list) and len(region) == 4):
-        _err(f"{path}.region", "expected [xmin, xmax, ymin, ymax]")
-    if not (isinstance(res, list) and len(res) == 2):
-        _err(f"{path}.resolution", "expected [nx, ny]")
+    region = _numbers(raw.get("region"), f"{path}.region", 4)
+    res = _numbers(raw.get("resolution"), f"{path}.resolution", 2)
     if not (region[0] < region[1] and region[2] < region[3]):
         _err(f"{path}.region", f"empty region {region!r}")
     if int(res[0]) < 2 or int(res[1]) < 2:
@@ -244,7 +251,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     noise_sigma = float(_get_number(doc, "noise_sigma", "config", default=5e-4,
                                     nonnegative=True))
     gmm_k = int(_get_number(doc, "gmm_k", "config", default=5, positive=True))
-    quad_n = int(_get_number(doc, "quad_n", "config", default=256, positive=True))
+    quad_n = int(_get_number(doc, "quad_n", "config", default=256))
+    if quad_n < 32:
+        _err("config.quad_n", f"must be at least 32, got {quad_n}")
 
     truth = _parse_truth(doc.get("truth", []))
     # canonical (ascending q) order keeps known-by-name priors aligned
@@ -255,27 +264,24 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sched_raw = doc.get("schedule", {})
     if not isinstance(sched_raw, dict):
         _err("schedule", "expected an object")
+    defaults = (("phase1_steps", 10_000, int), ("phase1_var", 1e-4, float),
+                ("phase2_steps", DESK_PHASE2_STEPS, int), ("phase2_var", 2.5e-5, float),
+                ("burn_in_fraction", 0.5, float), ("thin", DESK_THIN, int),
+                ("swap_interval", 10, int))
+    sched = {key: kind(_get_number(sched_raw, key, "schedule", default))
+             for key, default, kind in defaults}
     try:
-        schedule = McmcSchedule(
-            phase1_steps=int(sched_raw.get("phase1_steps", 10_000)),
-            phase1_var=float(sched_raw.get("phase1_var", 1e-4)),
-            phase2_steps=int(sched_raw.get("phase2_steps", DESK_PHASE2_STEPS)),
-            phase2_var=float(sched_raw.get("phase2_var", 2.5e-5)),
-            burn_in_fraction=float(sched_raw.get("burn_in_fraction", 0.5)),
-            thin=int(sched_raw.get("thin", DESK_THIN)),
-            swap_interval=int(sched_raw.get("swap_interval", 10)),
-            seed=seed,
-        )
+        schedule = McmcSchedule(**sched, seed=seed)
     except ValueError as e:
         _err("schedule", str(e))
 
     ladder_raw = doc.get("ladder", {})
     if not isinstance(ladder_raw, dict):
         _err("ladder", "expected an object")
-    exponents = tuple(int(p) for p in ladder_raw.get("exponents", (-4, -3, -2, -1, 0)))
+    exponents = _numbers(ladder_raw.get("exponents", [-4, -3, -2, -1, 0]), "ladder.exponents")
+    exponents = tuple(int(p) for p in exponents)
     base = float(_get_number(ladder_raw, "base", "ladder", default=5.0, positive=True))
-    if not exponents or exponents[-1] != 0 or \
-            any(a >= b for a, b in zip(exponents, exponents[1:])):
+    if exponents[-1] != 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
         _err("ladder.exponents", "must be strictly increasing and end at 0")
 
     grid = _parse_grid(doc.get("grid"))
@@ -321,8 +327,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
                             grid, seed, quad_n, exponents, base, resolved)
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a JSON experiment config."""
+def load_config(path: str, seed: int | None = None,
+                phase2_steps: int | None = None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment config.
+
+    seed and phase2_steps, when given, replace the file's values before
+    validation.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -330,6 +341,12 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path}: invalid JSON ({e})")
+    if not isinstance(doc, dict):
+        raise ConfigError("config root: expected an object")
+    if seed is not None:
+        doc["seed"] = seed
+    if phase2_steps is not None and isinstance(doc.get("schedule", {}), dict):
+        doc["schedule"] = {**doc.get("schedule", {}), "phase2_steps": phase2_steps}
     return parse_config(doc)
 
 
@@ -340,7 +357,7 @@ def synthesize(config: ExperimentConfig) -> Observation:
     re-synthesis is reproducible and does not perturb the chains.
     """
     heaters = [(s.shape(), s.q) for s in config.truth]
-    clean = fieldmod.observe(heaters, config.sensors, config.quad_n).temperatures
+    clean = fieldmod.observe(heaters, config.sensors, config.quad_n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SYNTH_STREAM]))
     noise = config.noise_sigma * rng.standard_normal(len(clean))
     return Observation(clean + noise, config.noise_sigma)
@@ -368,25 +385,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         canon = lambda x: canonicalize(x, config.spec)  # noqa: E731
     sample_set = sampler.run(ladder, target, config.schedule, canon=canon,
                              progress=progress)
-
-    gmm = fit_gmm(sample_set.samples, config.gmm_k,
-                  rng=np.random.default_rng(np.random.SeedSequence([config.seed, _GMM_STREAM])))
-    best = best_component(gmm, target)
-    pca_rep = pca(gmm.covariances[best])
-    best_mean = gmm.means[best]
-    fitted = fieldmod.observe(heaters_from(best_mean, config.spec.n_heaters),
-                              config.sensors, config.quad_n)
-    report = RunReport(
-        gmm=gmm, best_index=best, pca_of_best=pca_rep,
-        acceptance_rates=sample_set.acceptance_rates,
-        swap_rates=sample_set.swap_rates,
-        truth=pack(config.truth).reshape(len(config.truth), BLOCK),
-        best_mean=best_mean,
-        residuals=obs.values - fitted.temperatures,
-        observation=obs,
-        retained=sample_set.samples.shape[0],
-        config=config.resolved,
-    )
+    report = _analyze(config, obs, target, sample_set.samples,
+                      sample_set.acceptance_rates, sample_set.swap_rates)
 
     if out_dir is not None:
         written = []
@@ -400,7 +400,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
             written.append(p)
             if config.grid is not None:
                 for tag, states in (("truth", pack(config.truth)),
-                                    ("best", best_mean)):
+                                    ("best", report.best_mean)):
                     g = field_grid(heaters_from(states, config.spec.n_heaters),
                                    config.grid.region, config.grid.resolution,
                                    config.sensors.wall, config.quad_n)
@@ -429,6 +429,12 @@ def fit_samples(config: ExperimentConfig, samples: np.ndarray) -> RunReport:
             f"samples: {samples.shape[1]} columns, estimator expects {config.spec.dim}")
     obs = synthesize(config)
     target = make_log_posterior(obs, config.sensors, config.spec, config.quad_n)
+    return _analyze(config, obs, target, samples, {}, np.zeros(0))
+
+
+def _analyze(config: ExperimentConfig, obs: Observation, target, samples: np.ndarray,
+             acceptance_rates: dict, swap_rates: np.ndarray) -> RunReport:
+    """GMM fit, best component, its PCA and the sensor residuals at its mean."""
     gmm = fit_gmm(samples, config.gmm_k,
                   rng=np.random.default_rng(np.random.SeedSequence([config.seed, _GMM_STREAM])))
     best = best_component(gmm, target)
@@ -437,10 +443,10 @@ def fit_samples(config: ExperimentConfig, samples: np.ndarray) -> RunReport:
                               config.sensors, config.quad_n)
     return RunReport(
         gmm=gmm, best_index=best, pca_of_best=pca(gmm.covariances[best]),
-        acceptance_rates={}, swap_rates=np.zeros(0),
+        acceptance_rates=acceptance_rates, swap_rates=swap_rates,
         truth=pack(config.truth).reshape(len(config.truth), BLOCK),
         best_mean=best_mean,
-        residuals=obs.values - fitted.temperatures,
+        residuals=obs.values - fitted,
         observation=obs,
         retained=samples.shape[0],
         config=config.resolved,

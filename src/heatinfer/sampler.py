@@ -19,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class InitializationError(ValueError):
+    """Raised when no finite-posterior starting state turns up in the box."""
+
+
 @dataclass
 class McmcSchedule:
     """Two-phase run lengths, proposal variances, and retention policy."""
@@ -175,7 +179,9 @@ def _initialize(ladder: ChainLadder, target, canon, initial) -> None:
                 break
             x = ladder.rngs[i].uniform(lo, hi)
         else:
-            raise RuntimeError("could not find a finite-posterior initial state")
+            raise InitializationError(
+                f"chain {i}: no finite-posterior initial state in {_INIT_RETRIES} "
+                "draws from the bounding box")
         ladder.states[i] = x
         ladder.log_posts[i] = lp
 

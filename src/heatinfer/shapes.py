@@ -6,7 +6,7 @@ A heater boundary is traced by
 
 for t in [0, 2*pi), with real coefficients c_k. c_1 plays the role of a
 basic radius; higher coefficients deform the circle. All geometric
-quantities (boundary polygon, area, first/second moments) derive from
+quantities (boundary nodes, area, first/second moments) derive from
 this parameterization.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 
 class DegenerateShapeError(ValueError):
-    """Raised when a boundary encloses non-positive net area."""
+    """Raised when a boundary has no positive radius or net area."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class HeaterShape:
         if not all(math.isfinite(v) for v in c + center):
             raise ValueError("coefficients and center must be finite")
         if c[0] <= 0.0:
-            raise ValueError(f"c_1 must be positive, got {c[0]}")
+            raise DegenerateShapeError(f"c_1 must be positive, got {c[0]}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "center", center)
 
@@ -51,16 +51,6 @@ class HeaterShape:
         shape translated to (x0, -y0).
         """
         return HeaterShape(self.c, (self.center[0], -self.center[1]))
-
-
-@dataclass(frozen=True)
-class BoundaryPolygon:
-    """Closed boundary polygon; vertices in counterclockwise order.
-
-    The last vertex connects implicitly back to the first.
-    """
-
-    vertices: np.ndarray  # (n, 2)
 
 
 @dataclass(frozen=True)
@@ -113,42 +103,6 @@ def boundary_nodes(shape: HeaterShape, n: int):
     return x, y, dx, dy
 
 
-def boundary_points(shape: HeaterShape, n: int = 128) -> BoundaryPolygon:
-    """Polygon with vertices on the boundary at n equally spaced angles.
-
-    Rejects n < 8: too coarse to represent the region reliably.
-    """
-    if n < 8:
-        raise ValueError(f"n must be at least 8, got {n}")
-    x, y, _, _ = boundary_nodes(shape, n)
-    return BoundaryPolygon(np.column_stack([x, y]))
-
-
-def moments(shape: HeaterShape, n: int = 256) -> MomentData:
-    """Area and moments of the boundary polygon at resolution n.
-
-    Uses the shoelace rule for the area and the exact polygon formulas
-    for the first and second moments about (x0, y0). Converges to the
-    continuous-curve values as n grows.
-    """
-    if n < 32:
-        raise ValueError(f"n must be at least 32, got {n}")
-    poly = boundary_points(shape, n)
-    v = poly.vertices - np.asarray(shape.center)
-    x, y = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
-    cr = x * y1 - x1 * y
-    area = 0.5 * float(np.sum(cr))
-    if area <= 0.0:
-        raise DegenerateShapeError(f"boundary encloses non-positive area {area}")
-    fx = float(np.sum((x + x1) * cr)) / 6.0
-    fy = float(np.sum((y + y1) * cr)) / 6.0
-    mxx = float(np.sum((x * x + x * x1 + x1 * x1) * cr)) / 12.0
-    myy = float(np.sum((y * y + y * y1 + y1 * y1) * cr)) / 12.0
-    mxy = float(np.sum((x * y1 + 2.0 * x * y + 2.0 * x1 * y1 + x1 * y) * cr)) / 24.0
-    return MomentData(area, np.array([fx, fy]), np.array([[mxx, mxy], [mxy, myy]]))
-
-
 def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:
     """Moments of the continuous Fourier region, about (x0, y0).
 
@@ -177,30 +131,3 @@ def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:
     myy = -float(np.sum(y ** 3 * dx)) / 3.0 * w
     mxy = 0.5 * float(np.sum(x * x * y * dy)) * w
     return MomentData(area, np.array([fx, fy]), np.array([[mxx, mxy], [mxy, myy]]))
-
-
-def contains(shape: HeaterShape, point, n: int = 256) -> bool:
-    """Even-odd (ray crossing) test against the boundary polygon.
-
-    Points exactly on an edge count as inside.
-    """
-    v = boundary_points(shape, max(n, 8)).vertices
-    px, py = float(point[0]), float(point[1])
-    x, y = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
-
-    # on-edge check: colinear with the edge and within its extent
-    ex, ey = x1 - x, y1 - y
-    wx, wy = px - x, py - y
-    cross = ex * wy - ey * wx
-    dot = ex * wx + ey * wy
-    len2 = ex * ex + ey * ey
-    scale = np.sqrt(np.maximum(len2, 1e-300))
-    on_edge = (np.abs(cross) <= 1e-12 * np.maximum(scale, 1.0)) & (dot >= 0.0) & (dot <= len2)
-    if bool(np.any(on_edge)):
-        return True
-
-    crosses = (y > py) != (y1 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x + (py - y) * ex / np.where(ey == 0.0, np.inf, ey)
-    return bool(np.sum(crosses & (xint > px)) % 2 == 1)

@@ -2,8 +2,7 @@
 
 Everything here is deliberately written from scratch against the
 underlying mathematics (dense polygon sums, area quadrature of the log
-kernel, ray casting) and avoids the boundary-integral machinery under
-test.
+kernel) and avoids the boundary-integral machinery under test.
 """
 
 import numpy as np
@@ -70,18 +69,6 @@ def fan_quadrature_temp(c, center, q, point, n_edges=2000, n_sub=8):
         d2 = np.sum((pts - p[None, None, :]) ** 2, axis=2)
         total += np.sum(0.5 * np.log(d2) * sub_area[sl][:, None])
     return -q / (2.0 * np.pi) * total
-
-
-def ray_contains(c, center, point, n=512):
-    """Even-odd containment via horizontal ray casting."""
-    v = fourier_vertices(c, center, n)
-    x, y = v[:, 0], v[:, 1]
-    x1, y1 = np.roll(x, -1), np.roll(y, -1)
-    px, py = float(point[0]), float(point[1])
-    cond = (y > py) != (y1 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = x + (py - y) * (x1 - x) / np.where(y1 == y, np.inf, y1 - y)
-    return bool(np.sum(cond & (xint > px)) % 2 == 1)
 
 
 def point_source_temp(total_heat, center, point):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from heatinfer.field import (SensorArray, Wall, jacobian_multipole, observe,
-                             temp_free, temp_multipole)
+                             temp_multipole, temperatures)
 from heatinfer.harness import parse_config, read_samples, run_experiment
 from heatinfer.posterior import fit_gmm
 from heatinfer.sampler import ChainLadder, McmcSchedule, run
@@ -88,13 +88,13 @@ def sensor_count_runs(tmp_path_factory):
 def test_criterion_1_forward_model_exactness():
     disk = [(HeaterShape((0.5,), (0.0, 0.0)), 1.0)]
     exact = -(np.pi / 4.0) / (2.0 * np.pi) * np.log(2.0)
-    got = temp_free(disk, (2.0, 0.0), quad_n=256)
+    got = temperatures(disk, [(2.0, 0.0)], quad_n=256)[0]
     rel = abs(got - exact) / abs(exact)
 
     start = time.perf_counter()
     reps = 200
     for _ in range(reps):
-        temp_free(disk, (2.0, 0.0), quad_n=256)
+        temperatures(disk, [(2.0, 0.0)], quad_n=256)[0]
     per_eval = (time.perf_counter() - start) / reps
     check(1, rel < 1e-4 and per_eval < 1e-3,
           f"rel err {rel:.2e}, {per_eval * 1e6:.0f} us/eval vs -0.08664")
@@ -135,7 +135,7 @@ def test_criterion_3_multipole_decay():
         for ang in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
             pt = (radius * np.cos(ang), radius * np.sin(ang))
             worst = max(worst, abs(temp_multipole(heater, pt)
-                                   - temp_free([heater], pt, quad_n=512)))
+                                   - temperatures([heater], [pt], quad_n=512)[0]))
         errs[radius] = worst
     exponent = np.log2(errs[5.0] / errs[2.5])
     check(3, exponent <= -2.7,
@@ -199,8 +199,8 @@ def test_criterion_8_smaller_heater_more_strength_uncertainty(tmp_path_factory):
 def test_criterion_9_adiabatic_wall_benefit(tmp_path_factory):
     heater = [(HeaterShape((0.5, 0.25), (0.5, 0.8)), 1.0)]
     pts = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-    free = observe(heater, SensorArray(pts, Wall.UNBOUNDED)).temperatures
-    walled = observe(heater, SensorArray(pts, Wall.ADIABATIC_Y0)).temperatures
+    free = observe(heater, SensorArray(pts, Wall.UNBOUNDED))
+    walled = observe(heater, SensorArray(pts, Wall.ADIABATIC_Y0))
     doubling = float(np.max(np.abs(walled - 2.0 * free)))
 
     spreads = {}

@@ -4,7 +4,7 @@ import pytest
 from heatinfer import bayes
 from heatinfer.bayes import (HeaterState, Observation, StateSpec, canonicalize,
                              log_likelihood, log_posterior, log_prior,
-                             make_log_posterior, pack, unpack)
+                             heaters_from, make_log_posterior, pack)
 from heatinfer.field import SensorArray, observe
 
 TRUTH = HeaterState(0.5, 0.8, 1.0, 0.5, 0.25)
@@ -12,7 +12,7 @@ SENSORS = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
 
 def _clean_obs(state=TRUTH, sensors=SENSORS, sigma=5e-4):
-    vals = observe([(state.shape(), state.q)], sensors).temperatures
+    vals = observe([(state.shape(), state.q)], sensors)
     return Observation(vals, sigma)
 
 
@@ -20,10 +20,10 @@ def test_pack_single():
     np.testing.assert_array_equal(pack([TRUTH]), [0.5, 0.8, 1.0, 0.5, 0.25])
 
 
-def test_pack_unpack_roundtrip():
+def test_pack_heaters_from_roundtrip():
     rng = np.random.default_rng(5)
     states = [HeaterState(*rng.uniform(0.1, 1.0, 5)) for _ in range(3)]
-    assert unpack(pack(states), 3) == states
+    assert heaters_from(pack(states), 3) == [(s.shape(), s.q) for s in states]
 
 
 def test_pack_two_heaters_order():
@@ -35,9 +35,9 @@ def test_pack_two_heaters_order():
     np.testing.assert_array_equal(v[5:], b.as_array())
 
 
-def test_unpack_length_mismatch():
+def test_heaters_from_length_mismatch():
     with pytest.raises(ValueError):
-        unpack(np.zeros(7), 1)
+        heaters_from(np.zeros(7), 1)
 
 
 def test_canonicalize_sorts_by_strength():
@@ -127,7 +127,7 @@ def test_likelihood_monotone_in_residual():
 def test_strength_area_degeneracy():
     # circles sharing q * c1^2 with exterior sensors are indistinguishable
     obs = Observation(observe([(HeaterState(0.5, 0.8, 1.0, 0.5, 0.0).shape(), 1.0)],
-                              SENSORS).temperatures, 5e-4)
+                              SENSORS), 5e-4)
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
     lls = []
     for q in (0.7, 1.0, 1.8, 3.0):
@@ -164,7 +164,7 @@ def test_posterior_perturbed_truth_direct_evaluation():
     spec = StateSpec.create(1)
     x = pack([HeaterState(0.55, 0.8, 1.0, 0.5, 0.25)])
     # direct evaluation of the same definition, independent of the wiring
-    h = observe([(HeaterState(*x).shape(), 1.0)], SENSORS).temperatures
+    h = observe([(HeaterState(*x).shape(), 1.0)], SENSORS)
     expect = -0.5 * float(np.sum((obs.values - h) ** 2)) / obs.noise_sigma ** 2
     got = log_posterior(x, obs, SENSORS, spec)
     assert np.isfinite(got) and got < -1.0
@@ -175,7 +175,7 @@ def test_posterior_invariant_under_block_permutation():
     a = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14)
     b = HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
-    obs = Observation(observe([(a.shape(), a.q), (b.shape(), b.q)], sensors).temperatures,
+    obs = Observation(observe([(a.shape(), a.q), (b.shape(), b.q)], sensors),
                       5e-4)
     spec = StateSpec.create(2)
     pa = log_posterior(canonicalize(pack([a, b]), spec), obs, sensors, spec)
@@ -190,6 +190,17 @@ def test_geometry_failure_maps_to_rejection():
     x = pack([TRUTH])
     x[3] = 0.0
     assert log_likelihood(x, obs, SENSORS, spec) == -np.inf
+
+
+def test_programming_error_is_not_a_rejection(monkeypatch):
+    # only geometry failures mean -inf; any other error must surface
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the forward model")
+
+    obs = _clean_obs()
+    monkeypatch.setattr(bayes.fieldmod, "observe", broken)
+    with pytest.raises(ValueError, match="bug in the forward model"):
+        log_posterior(pack([TRUTH]), obs, SENSORS, StateSpec.create(1))
 
 
 def test_wall_crossing_maps_to_rejection():

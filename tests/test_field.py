@@ -5,7 +5,7 @@ import pytest
 
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
                              WallGeometryError, field_grid, jacobian_multipole,
-                             observe, temp_free, temp_multipole, temp_wall)
+                             observe, temp_multipole, temperatures)
 from heatinfer.shapes import HeaterShape, boundary_nodes, curve_moments
 
 from oracles import fan_quadrature_temp, point_source_temp
@@ -19,7 +19,7 @@ DISK = HeaterShape((0.5, 0.0), (0.0, 0.0))
 def test_disk_exterior_mean_value():
     # outside a circle the field is that of a point source of strength q*A
     exact = -(np.pi / 4.0) / (2.0 * np.pi) * np.log(2.0)
-    got = temp_free([(DISK, 1.0)], (2.0, 0.0))
+    got = temperatures([(DISK, 1.0)], [(2.0, 0.0)])[0]
     assert got == pytest.approx(exact, rel=1e-10)
 
 
@@ -33,7 +33,7 @@ def test_mean_value_random_circles():
         r = rng.uniform(a * 1.5, 5.0)
         pt = ctr + r * np.array([np.cos(ang), np.sin(ang)])
         exact = point_source_temp(q * np.pi * a * a, ctr, pt)
-        got = temp_free([(HeaterShape((a,), ctr), q)], pt)
+        got = temperatures([(HeaterShape((a,), ctr), q)], [pt])[0]
         assert got == pytest.approx(exact, rel=1e-4)
 
 
@@ -42,14 +42,14 @@ def test_disk_center_value():
     a = 0.5
     exact = -a * a * (2.0 * np.log(a) - 1.0) / 4.0
     assert exact == pytest.approx(0.14914339756999317, abs=1e-14)
-    assert temp_free([(DISK, 1.0)], (0.0, 0.0)) == pytest.approx(exact, rel=1e-10)
+    assert temperatures([(DISK, 1.0)], [(0.0, 0.0)])[0] == pytest.approx(exact, rel=1e-10)
     # the blunt area-quadrature oracle agrees despite the integrable singularity
     oracle = fan_quadrature_temp((0.5, 0.0), (0.0, 0.0), 1.0, (0.0, 0.0))
     assert oracle == pytest.approx(exact, abs=1e-3)
 
 
 def test_heart_origin_against_quadrature_oracle():
-    got = temp_free([(HEART, 1.0)], (0.0, 0.0))
+    got = temperatures([(HEART, 1.0)], [(0.0, 0.0)])[0]
     assert got == pytest.approx(HEART_T_ORIGIN, abs=2e-9)
     live = fan_quadrature_temp((0.28, 0.14), (0.5, 0.8), 1.0, (0.0, 0.0))
     assert got == pytest.approx(live, abs=1e-8)
@@ -57,9 +57,9 @@ def test_heart_origin_against_quadrature_oracle():
 
 def test_linearity_in_strength():
     pt = (1.5, -0.3)
-    ta = temp_free([(HEART, 0.7)], pt)
-    tb = temp_free([(HEART, 1.8)], pt)
-    tab = temp_free([(HEART, 2.5)], pt)
+    ta = temperatures([(HEART, 0.7)], [pt])[0]
+    tb = temperatures([(HEART, 1.8)], [pt])[0]
+    tab = temperatures([(HEART, 2.5)], [pt])[0]
     assert tab == pytest.approx(ta + tb, rel=1e-12)
 
 
@@ -67,20 +67,20 @@ def test_superposition_over_heaters():
     h1 = (HeaterShape((0.3, 0.1), (-0.5, 0.6)), 1.2)
     h2 = (HeaterShape((0.2,), (0.7, 1.0)), 2.0)
     sensors = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.3, -0.5]])
-    both = observe([h1, h2], sensors).temperatures
-    single = observe([h1], sensors).temperatures + observe([h2], sensors).temperatures
+    both = observe([h1, h2], sensors)
+    single = observe([h1], sensors) + observe([h2], sensors)
     np.testing.assert_allclose(both, single, rtol=1e-12)
 
 
 def test_observe_zero_heaters():
     sensors = SensorArray([[-1.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(observe([], sensors).temperatures, [0.0, 0.0])
+    np.testing.assert_array_equal(observe([], sensors), [0.0, 0.0])
 
 
 def test_observe_point_source_closed_form():
     heater = (HeaterShape((0.5,), (0.5, 0.8)), 1.0)
     sensors = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    got = observe([heater], sensors).temperatures
+    got = observe([heater], sensors)
     exact = [point_source_temp(np.pi / 4.0, (0.5, 0.8), p) for p in sensors.points]
     np.testing.assert_allclose(got, exact, rtol=1e-10)
 
@@ -89,7 +89,7 @@ def test_observe_three_sensor_pattern():
     # nearest sensors read warmest; the far sensor sits below the reference
     heater = (HeaterShape((0.5, 0.25), (0.5, 0.8)), 1.0)
     sensors = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    t = observe([heater], sensors).temperatures
+    t = observe([heater], sensors)
     assert t[2] > t[1] > t[0]
     assert np.all(np.abs(t) < 0.2)
 
@@ -97,15 +97,15 @@ def test_observe_three_sensor_pattern():
 def test_wall_doubles_on_wall_sensors():
     heater = (HeaterShape((0.5, 0.25), (0.5, 0.8)), 1.0)
     pts = [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-    free = observe([heater], SensorArray(pts, Wall.UNBOUNDED)).temperatures
-    walled = observe([heater], SensorArray(pts, Wall.ADIABATIC_Y0)).temperatures
+    free = observe([heater], SensorArray(pts, Wall.UNBOUNDED))
+    walled = observe([heater], SensorArray(pts, Wall.ADIABATIC_Y0))
     np.testing.assert_allclose(walled, 2.0 * free, rtol=1e-10)
 
 
 def test_wall_disk_value():
     # image symmetry doubles the free-space point-source value at the wall
     heater = (HeaterShape((0.5, 0.0), (0.5, 0.8)), 1.0)
-    got = temp_wall([heater], (0.5, 0.0))
+    got = temperatures([heater], [(0.5, 0.0)], Wall.ADIABATIC_Y0)[0]
     assert got == pytest.approx(2.0 * 0.125 * -np.log(0.8), rel=1e-10)
     assert got == pytest.approx(0.0557858878, abs=1e-9)
 
@@ -114,25 +114,25 @@ def test_wall_field_even_in_y():
     heater = (HeaterShape((0.3, 0.1), (0.4, 0.9)), 1.5)
     mirrored = [(heater[0], heater[1]), (heater[0].mirrored(), heater[1])]
     for x, dy in ((0.1, 0.25), (-0.8, 0.6), (1.4, 0.05)):
-        above = temp_free(mirrored, (x, dy))
-        below = temp_free(mirrored, (x, -dy))
+        above = temperatures(mirrored, [(x, dy)])[0]
+        below = temperatures(mirrored, [(x, -dy)])[0]
         assert above == pytest.approx(below, rel=1e-12)
 
 
 def test_wall_normal_derivative_vanishes():
     heater = (HeaterShape((0.25, -0.05), (0.2, 0.7)), 2.0)
     d = 1e-5
-    up = temp_wall([heater], (0.3, d))
+    up = temperatures([heater], [(0.3, d)], Wall.ADIABATIC_Y0)[0]
     # central difference across the wall via the even extension
     mirrored = [(heater[0], heater[1]), (heater[0].mirrored(), heater[1])]
-    down = temp_free(mirrored, (0.3, -d))
+    down = temperatures(mirrored, [(0.3, -d)])[0]
     assert (up - down) / (2 * d) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_wall_rejects_crossing_heater():
     low = (HeaterShape((0.5, 0.0), (0.0, 0.3)), 1.0)
     with pytest.raises(WallGeometryError):
-        temp_wall([low], (0.0, 0.0))
+        temperatures([low], [(0.0, 0.0)], Wall.ADIABATIC_Y0)
 
 
 def test_sensor_array_validation():
@@ -146,7 +146,7 @@ def test_sensor_array_validation():
 
 def test_point_on_quadrature_node_is_finite():
     x, y, _, _ = boundary_nodes(HEART, 512)
-    val = temp_free([(HEART, 1.0)], (x[8], y[8]))
+    val = temperatures([(HEART, 1.0)], [(x[8], y[8])])[0]
     assert np.isfinite(val)
 
 
@@ -175,7 +175,7 @@ def test_multipole_far_field_decay():
         for ang in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
             pt = (0.5 + radius * np.cos(ang), 0.8 + radius * np.sin(ang))
             worst = max(worst, abs(temp_multipole(heater, pt)
-                                   - temp_free([heater], pt, 512)))
+                                   - temperatures([heater], [pt], quad_n=512)[0]))
         errs[radius] = worst
     assert errs[5.0] < errs[2.5] / 8.0 * 1.05
 
@@ -257,7 +257,7 @@ def test_far_field_circularizes():
     vals = []
     for ang in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
         pt = centroid + 3.0 * np.array([np.cos(ang), np.sin(ang)])
-        vals.append(temp_free([heater], pt))
+        vals.append(temperatures([heater], [pt])[0])
     vals = np.asarray(vals)
     assert np.ptp(vals) < 0.01 * np.abs(vals).mean()
 
@@ -271,10 +271,10 @@ def test_field_grid_wall_clips():
 
 def test_runtime_under_a_millisecond():
     heater = [(DISK, 1.0)]
-    temp_free(heater, (2.0, 0.0))  # warm the trig table cache
+    temperatures(heater, [(2.0, 0.0)])  # warm the trig table cache
     n = 200
     start = time.perf_counter()
     for _ in range(n):
-        temp_free(heater, (2.0, 0.0))
+        temperatures(heater, [(2.0, 0.0)])
     per_eval = (time.perf_counter() - start) / n
     assert per_eval < 1e-3

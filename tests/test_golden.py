@@ -1,0 +1,56 @@
+"""Golden-hash gate: refactors must not change a single output byte.
+
+Runs the twin experiment on both repository configs at a short fixed
+schedule, grids included, and compares the sha256 of every file the run
+writes with values recorded from the code before the forward-model and
+analysis paths were merged. The hashes hold for numpy 2.4.6 with
+OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may round
+differently and must re-record them from a known-good commit.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from heatinfer.harness import parse_config, run_experiment
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+SCHEDULE = {"phase1_steps": 200, "phase2_steps": 1000, "thin": 1}
+
+GOLDEN = {
+    "single_heater": {
+        "best_grid.csv": "016ce8e975f2d8dd3e60b9edb1355236d3e933db3d06a628be4df3a02e963004",
+        "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+        "report.json": "0a69c1e3fc842debaa30ffef3bca5da8f44525f83ce46b2e8c81aa8440434e79",
+        "samples.csv": "3b881b745df5d2908c372456cd6a58c267bc61c371603c77a9eb74756934aab9",
+        "truth_grid.csv": "ee9f2a45a1eda0c98e8144d69b25e6c782abc41f1c784398328172de7b9577b9",
+        "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+    },
+    "two_heaters": {
+        "best_grid.csv": "7578e87d57bb2fc77c1d00808864064d1d25cb967e38053ca12b41d16bfb14ab",
+        "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+        "report.json": "1670383ffc089c9c5e9660e399ead584629bf0f22495e3acd77122d37910fb5f",
+        "samples.csv": "c8903195feea6e2b9fec9b8512154abfdff63e63965727f79d9903910d710a91",
+        "truth_grid.csv": "812eae5c0b508b114fcdec408cdd9cea3f573525d78090f8387a55053ae761d5",
+        "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+    },
+}
+
+
+def _run_hashes(name, out_dir):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    doc["schedule"] = dict(SCHEDULE)
+    run_experiment(parse_config(doc), out_dir=str(out_dir), progress=None)
+    hashes = {}
+    for fname in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, fname), "rb") as fh:
+            hashes[fname] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_are_byte_identical(name, tmp_path):
+    assert _run_hashes(name, tmp_path) == GOLDEN[name]

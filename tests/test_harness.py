@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -94,11 +95,20 @@ def test_load_config_round_trip(tmp_path):
         load_config(str(bad))
 
 
+def test_load_config_overrides(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MINIMAL, "schedule": {"thin": 5}}))
+    config = load_config(str(path), seed=7, phase2_steps=2000)
+    assert config.seed == 7 and config.schedule.seed == 7
+    assert config.schedule.phase2_steps == 2000 and config.schedule.thin == 5
+    assert load_config(str(path)).seed == 0
+
+
 def test_synthesize_zero_noise_is_exact():
     config = _tiny_config(noise_sigma=0.0)
     obs = synthesize(config)
     from heatinfer.field import observe
-    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors).temperatures
+    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors)
     np.testing.assert_array_equal(obs.values, clean)
 
 
@@ -112,7 +122,7 @@ def test_synthesize_deterministic():
 def test_synthesize_noise_scale():
     config = _tiny_config()
     from heatinfer.field import observe
-    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors).temperatures
+    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors)
     resid = []
     for seed in range(4000):
         obs = synthesize(dataclasses.replace(config, seed=seed))
@@ -288,3 +298,48 @@ def test_cli_error_is_machine_parsable(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: ")
+
+
+# each of these escaped cli.main as a traceback before parsing checked them
+BAD_CONFIGS = {
+    "list_root": ([MINIMAL], ["--seed", "3"], "config root"),
+    "null_phase1_var": ({**MINIMAL, "schedule": {"phase1_var": None}}, [],
+                        "schedule.phase1_var"),
+    "string_range": ({**MINIMAL, "sensors": {"count": 3, "range": ["a", "b"]}}, [],
+                     r"sensors.range\[0\]"),
+    "scalar_exponents": ({**MINIMAL, "ladder": {"exponents": 5}}, [], "ladder.exponents"),
+    "nan_known_var": ({**MINIMAL, "estimator": {"known": ["c1"], "known_var": float("nan")}},
+                      [], "estimator.known_var"),
+    "infinite_noise": ({**MINIMAL, "noise_sigma": float("inf")}, [], "config.noise_sigma"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_cli_bad_config_is_one_error_line(tmp_path, capsys, case):
+    doc, extra, field_path = BAD_CONFIGS[case]
+    cfg = _write_cfg(tmp_path, doc)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")] + extra)
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(rf"error: {field_path}: ", err[0])
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_config_rejects_coarse_quadrature():
+    with pytest.raises(ConfigError, match="quad_n"):
+        parse_config({**MINIMAL, "quad_n": 16})
+
+
+def test_cli_unsatisfiable_estimator_is_one_error_line(tmp_path, capsys):
+    # no state in this box keeps a c1 >= 0.9 heater above the wall
+    doc = {"truth": [{"x0": 0.5, "y0": 0.8, "q": 1, "c1": 0.2, "c2": 0}],
+           "sensors": {"count": 3, "wall": True},
+           "estimator": {"n_heaters": 2, "bounds": {"y0": [0.001, 0.01], "c1": [0.9, 1.0]}},
+           "schedule": TINY_SCHEDULE}
+    cfg = _write_cfg(tmp_path, doc)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "initial state" in err[0]
