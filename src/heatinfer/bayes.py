@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import field as fieldmod
-from .shapes import DegenerateShapeError, HeaterShape
+from .shapes import HeaterShape
 
 BLOCK = 5
 COMPONENT_NAMES = ("x0", "y0", "q", "c1", "c2")
@@ -90,6 +90,13 @@ class StateSpec:
         if self.half_plane and np.any(b[1::BLOCK, 0] < 0.0):
             raise ValueError("half_plane requires y0 lower bounds >= 0")
         object.__setattr__(self, "bounds", b)
+        # components that must stay strictly above zero: every c_1, and
+        # every y0 under the half-plane restriction
+        floor = np.full(len(b), -np.inf)
+        floor[3::BLOCK] = 0.0
+        if self.half_plane:
+            floor[1::BLOCK] = 0.0
+        object.__setattr__(self, "_floor", floor)
         idx = np.array(sorted(self.known), dtype=int)
         object.__setattr__(self, "_known_idx", idx)
         object.__setattr__(self, "_known_mean",
@@ -114,40 +121,88 @@ def pack(states) -> np.ndarray:
     return np.concatenate([s.as_array() for s in states])
 
 
+def _blocks(X: np.ndarray, n_heaters: int):
+    """Coefficients (m, h, 2), centers (m, h, 2) and strengths (m, h) of states X (m, dim)."""
+    b = X.reshape(len(X), n_heaters, BLOCK)
+    return b[:, :, 3:], b[:, :, :2], b[:, :, 2]
+
+
 def heaters_from(x: np.ndarray, n_heaters: int):
     """(HeaterShape, strength) pairs for the forward model, one per block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (BLOCK * n_heaters,):
         raise ValueError(f"expected length {BLOCK * n_heaters}, got {x.shape}")
-    return [(HeaterShape((x[b + 3], x[b + 4]), (x[b], x[b + 1])), x[b + 2])
-            for b in range(0, BLOCK * n_heaters, BLOCK)]
+    C, centers, q = _blocks(x[None], n_heaters)
+    return [(HeaterShape(C[0, k], centers[0, k]), q[0, k]) for k in range(n_heaters)]
 
 
 def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
     """Sort heater blocks by ascending q; ties by x0, then y0.
 
-    Removes the relabeling symmetry of the posterior. Single-heater
-    states pass through unchanged.
+    x is one state (dim,) or a stack of them (m, dim); each state is
+    sorted on its own. Removes the relabeling symmetry of the posterior.
+    Single-heater states pass through unchanged.
     """
-    if spec.n_heaters == 1:
-        return np.asarray(x, dtype=float)
     x = np.asarray(x, dtype=float)
-    blocks = [x[BLOCK * h:BLOCK * (h + 1)] for h in range(spec.n_heaters)]
-    blocks.sort(key=lambda b: (b[2], b[0], b[1]))
-    return np.concatenate(blocks)
+    if spec.n_heaters == 1:
+        return x
+    b = x.reshape(-1, spec.n_heaters, BLOCK)
+    # a stable sort; lexsort takes its primary key last
+    order = np.lexsort((b[:, :, 1], b[:, :, 0], b[:, :, 2]))
+    return b[np.arange(len(b))[:, None], order].reshape(x.shape)
+
+
+def _log_prior_rows(X: np.ndarray, spec: StateSpec) -> np.ndarray:
+    """log_prior of every row of X (m, dim)."""
+    outside = (X < spec.bounds[:, 0]) | (X > spec.bounds[:, 1]) | (X <= spec._floor)
+    inside = ~outside.any(axis=1)
+    if len(spec._known_idx) == 0:
+        return np.where(inside, 0.0, -np.inf)
+    d = X[:, spec._known_idx] - spec._known_mean
+    return np.where(inside, -0.5 * (d * d / spec._known_var).sum(axis=1), -np.inf)
+
+
+def _log_likelihood_rows(X: np.ndarray, obs: Observation, sensors, spec: StateSpec,
+                         quad_n: int) -> np.ndarray:
+    """log_likelihood of every row of X (m, dim)."""
+    if obs.noise_sigma <= 0.0:
+        raise ValueError("inference requires noise_sigma > 0")
+    if X.shape[1] != spec.dim:
+        raise ValueError(f"expected length {spec.dim}, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("states must be finite")
+    out = np.full(len(X), -np.inf)
+    # c_1 <= 0 is a degenerate shape; the forward model sees only the rest
+    shaped = np.all(X[:, 3::BLOCK] > 0.0, axis=1)
+    h = fieldmod.temperature_rows(*_blocks(X[shaped], spec.n_heaters), sensors.points,
+                                  sensors.wall, quad_n)
+    r = obs.values - h
+    ll = -0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / (obs.noise_sigma ** 2)
+    out[shaped] = np.where(np.all(np.isfinite(h), axis=1), ll, -np.inf)
+    return out
+
+
+def _log_posterior_rows(X: np.ndarray, obs: Observation, sensors, spec: StateSpec,
+                        quad_n: int) -> np.ndarray:
+    """log_posterior of every row of X (m, dim); the forward model sees
+    only the rows inside the prior's support."""
+    out = _log_prior_rows(X, spec)
+    inside = out != -np.inf
+    if inside.any():
+        out[inside] += _log_likelihood_rows(X[inside], obs, sensors, spec, quad_n)
+    return out
+
+
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)[None, :]
 
 
 def log_prior(x: np.ndarray, spec: StateSpec) -> float:
-    """Box prior plus sharp Gaussians on known components; -inf outside B."""
-    x = np.asarray(x, dtype=float)
-    if bool(np.any((x < spec.bounds[:, 0]) | (x > spec.bounds[:, 1]))):
-        return -np.inf
-    if spec.half_plane and np.any(x[1::BLOCK] <= 0.0):
-        return -np.inf
-    if len(spec._known_idx) == 0:
-        return 0.0
-    d = x[spec._known_idx] - spec._known_mean
-    return -0.5 * float(np.sum(d * d / spec._known_var))
+    """Box prior plus sharp Gaussians on known components.
+
+    -inf outside B, below the half-plane, or for a degenerate c_1 <= 0.
+    """
+    return float(_log_prior_rows(_row(x), spec)[0])
 
 
 def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
@@ -158,30 +213,23 @@ def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
     non-finite field) are reported as -inf so the sampler simply rejects
     the state; any other error propagates.
     """
-    if obs.noise_sigma <= 0.0:
-        raise ValueError("inference requires noise_sigma > 0")
-    try:
-        h = fieldmod.observe(heaters_from(x, spec.n_heaters), sensors, quad_n)
-    except (DegenerateShapeError, fieldmod.WallGeometryError,
-            fieldmod.FieldEvaluationError):
-        return -np.inf
-    r = obs.values - h
-    return -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
+    return float(_log_likelihood_rows(_row(x), obs, sensors, spec, quad_n)[0])
 
 
 def log_posterior(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
                   quad_n: int = 256) -> float:
     """log prior + log likelihood, skipping the forward model outside B."""
-    lp = log_prior(x, spec)
-    if lp == -np.inf:
-        return -np.inf
-    return lp + log_likelihood(x, obs, sensors, spec, quad_n)
+    return float(_log_posterior_rows(_row(x), obs, sensors, spec, quad_n)[0])
 
 
 def make_log_posterior(obs: Observation, sensors, spec: StateSpec, quad_n: int = 256):
-    """Closure over a fixed observation setup, for samplers."""
+    """Closure over a fixed observation setup, for samplers.
 
-    def target(x: np.ndarray) -> float:
-        return log_posterior(x, obs, sensors, spec, quad_n)
+    The target scores a stack of states (m, dim) in one call and returns
+    their log posteriors (m,).
+    """
+
+    def target(X: np.ndarray) -> np.ndarray:
+        return _log_posterior_rows(np.asarray(X, dtype=float), obs, sensors, spec, quad_n)
 
     return target

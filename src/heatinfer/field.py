@@ -19,10 +19,11 @@ zero on the wall.
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .shapes import HeaterShape, boundary_nodes, curve_moments
+from .shapes import HeaterShape, boundary_nodes, curve_moments, node_rows
 
 
 class WallGeometryError(ValueError):
@@ -69,45 +70,81 @@ class FieldGrid:
 
 
 _NODE_SHIFT = 1e-9  # outward offset applied when a point hits a quadrature node
+_WALL_CHECK_N = 256  # boundary nodes tested against the wall
 
 
-def _offsets(shape: HeaterShape, pts: np.ndarray, n: int):
-    """Node-minus-point offsets, their squared lengths, and the tangents."""
-    x, y, dx, dy = boundary_nodes(shape, n)
-    rhox = x[None, :] - pts[:, 0:1]
-    rhoy = y[None, :] - pts[:, 1:2]
-    return rhox, rhoy, rhox * rhox + rhoy * rhoy, dx, dy
+def _offsets(x, y, pts):
+    """Node-minus-point offsets (m, p, n) and their squared lengths.
 
-
-def _one_heater(shape: HeaterShape, q: float, pts: np.ndarray, quad_n: int) -> np.ndarray:
-    """Boundary-integral temperatures of a single heater at pts (m, 2).
-
-    Accuracy near the boundary degrades with node spacing, so the nodes
-    are doubled once when any point lies within two node spacings of
-    the boundary.
+    The work arrays share one allocation: allocated and freed one by one,
+    a sweep's few-hundred-kB arrays make the C allocator return memory to
+    the system and fault it back in on every call, tripling their cost.
     """
-    rhox, rhoy, r2, dx, dy = _offsets(shape, pts, quad_n)
-    # node spacing bounded by max parameterization speed times step
-    spacing = np.sqrt(float(np.max(dx * dx + dy * dy))) * (2.0 * np.pi / quad_n)
-    r2_min = float(r2.min())
-    if r2_min < (2.0 * spacing) ** 2:
-        quad_n *= 2
-        rhox, rhoy, r2, dx, dy = _offsets(shape, pts, quad_n)
-        r2_min = float(r2.min())
+    rhox, rhoy, r2, sq = np.empty((4, len(x), len(pts), x.shape[1]))
+    np.subtract(x[:, None, :], pts[None, :, 0:1], out=rhox)
+    np.subtract(y[:, None, :], pts[None, :, 1:2], out=rhoy)
+    np.multiply(rhox, rhox, out=r2)
+    r2 += np.multiply(rhoy, rhoy, out=sq)
+    return rhox, rhoy, r2
 
-    if r2_min == 0.0:
+
+def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
+    """Trapezoidal boundary integral (m, p); overwrites its offset arrays.
+
+    on_node says whether some point sits exactly on a node (r2 == 0).
+    """
+    if on_node:
         # shift the offending nodes outward along the boundary normal
         nrm = np.maximum(np.hypot(dx, dy), 1e-300)
-        rows, cols = np.nonzero(r2 == 0.0)
-        rhox = rhox.copy()
-        rhoy = rhoy.copy()
-        rhox[rows, cols] = _NODE_SHIFT * (dy / nrm)[cols]
-        rhoy[rows, cols] = _NODE_SHIFT * (-dx / nrm)[cols]
-        r2 = rhox * rhox + rhoy * rhoy
+        hit = np.nonzero(r2 == 0.0)
+        node = hit[0], hit[2]
+        rhox[hit] = _NODE_SHIFT * (dy / nrm)[node]
+        rhoy[hit] = _NODE_SHIFT * (-dx / nrm)[node]
+        r2[hit] = rhox[hit] * rhox[hit] + rhoy[hit] * rhoy[hit]
+    rhox *= dy[:, None, :]
+    rhoy *= dx[:, None, :]
+    rhox -= rhoy  # cross product of offset and tangent
+    np.log(r2, out=r2)
+    r2 -= 1.0
+    rhox *= r2
+    return -q[:, None] / (8.0 * np.pi) * rhox.sum(axis=2) * (2.0 * np.pi / n)
 
-    cross = rhox * dy[None, :] - rhoy * dx[None, :]
-    vals = cross * (np.log(r2) - 1.0)
-    return -q / (8.0 * np.pi) * vals.sum(axis=1) * (2.0 * np.pi / quad_n)
+
+def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+    """Boundary-integral temperatures (m, p) of one heater per row at pts (p, 2).
+
+    nodes(n) returns the rows' boundary samples and tangents (x, y, dx,
+    dy), each (m, n); q holds the rows' strengths (m,). Accuracy near the
+    boundary degrades with node spacing, so a row's nodes are doubled
+    once when any point lies within two node spacings of its boundary.
+    """
+    out = np.empty((len(q), len(pts)))
+    x, y, dx, dy = nodes(quad_n)
+    # node spacing bounded by max parameterization speed times step
+    spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
+    rhox, rhoy, r2 = _offsets(x, y, pts)
+    r2_min = r2.min(axis=(1, 2))
+    near = r2_min < (2.0 * spacing) ** 2
+    if not near.all():
+        far = ~near if near.any() else slice(None)
+        out[far] = _integrate(rhox[far], rhoy[far], r2[far], dx[far], dy[far], q[far], quad_n,
+                              np.any(r2_min[far] == 0.0))
+    del rhox, rhoy, r2
+    if near.any():
+        x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
+        rhox, rhoy, r2 = _offsets(x, y, pts)
+        out[near] = _integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n, r2.min() == 0.0)
+    return out
+
+
+def _wall_clearance(nodes) -> np.ndarray:
+    """Lowest boundary point (m,) of each row; the wall needs it above y = 0."""
+    return nodes(_WALL_CHECK_N)[1].min(axis=1)
+
+
+def _check_quad_n(quad_n: int) -> None:
+    if quad_n < 32:
+        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
 
 
 def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
@@ -117,26 +154,65 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
     regions superpose additively. With an adiabatic wall every heater
     gains its mirror image below y = 0, and all heater regions must lie
-    strictly in y > 0.
+    strictly in y > 0. Heaters go through temperature_rows' kernel one
+    at a time, and rejections are raised as errors.
     """
-    if quad_n < 32:
-        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
+    _check_quad_n(quad_n)
+    heaters = list(heaters)
     if wall is Wall.ADIABATIC_Y0:
-        mirrored = []
-        for shape, q in heaters:
-            _, y, _, _ = boundary_nodes(shape, 256)
-            if float(y.min()) <= 0.0:
+        for shape, _ in heaters:
+            low = _wall_clearance(_single(shape))[0]
+            if low <= 0.0:
                 raise WallGeometryError(
-                    f"heater at {shape.center} crosses the wall y = 0 (min y = {y.min():.4g})"
-                )
-            mirrored.append((shape.mirrored(), q))
-        heaters = list(heaters) + mirrored
+                    f"heater at {shape.center} crosses the wall y = 0 (min y = {low:.4g})")
+        heaters += [(shape.mirrored(), q) for shape, q in heaters]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for shape, q in heaters:
-        out = out + _one_heater(shape, q, pts, quad_n)
+        out = out + _heater_rows(_single(shape), np.array([q]), pts, quad_n)[0]
     if not np.all(np.isfinite(out)):
         raise FieldEvaluationError("non-finite temperature; point on a quadrature node?")
+    return out
+
+
+def _single(shape: HeaterShape):
+    """Node source for one shape, as a one-row batch."""
+    return lambda n: tuple(a[None] for a in boundary_nodes(shape, n))
+
+
+def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
+                     quad_n: int = 256) -> np.ndarray:
+    """Temperatures (m, p) of m heater configurations at points (p, 2).
+
+    Heater k of configuration i has Fourier coefficients C[i, k] (with
+    c_1 > 0), center centers[i, k] and strength q[i, k]; C is (m, h, J).
+    Every heater of every configuration is one row of a single kernel
+    call, and row i equals temperatures() of configuration i bit for
+    bit. Rejected configurations come back as non-finite rows: NaN when
+    a heater crosses the wall, otherwise wherever the field is not finite.
+    """
+    _check_quad_n(quad_n)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, h = q.shape
+    if wall is Wall.ADIABATIC_Y0:
+        low = _wall_clearance(partial(node_rows, C.reshape(m * h, C.shape[2]),
+                                      centers.reshape(m * h, 2)))
+        clear = np.all(low.reshape(m, h) > 0.0, axis=1)
+        if not clear.all():
+            out = np.full((m, pts.shape[0]), np.nan)
+            out[clear] = temperature_rows(C[clear], centers[clear], q[clear], pts, wall, quad_n)
+            return out
+        C = np.concatenate([C, C], axis=1)
+        centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
+        q = np.concatenate([q, q], axis=1)
+    rows = q.size
+    each = _heater_rows(partial(node_rows, np.ascontiguousarray(C).reshape(rows, C.shape[2]),
+                                np.ascontiguousarray(centers).reshape(rows, 2)),
+                        q.reshape(rows), pts, quad_n).reshape(q.shape + (pts.shape[0],))
+    # heaters add in order, originals before mirror images
+    out = np.zeros((m, pts.shape[0]))
+    for k in range(each.shape[1]):
+        out += each[:, k]
     return out
 
 

@@ -10,7 +10,9 @@ tools can re-plot without this package.
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +276,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         schedule = McmcSchedule(**sched, seed=seed)
     except ValueError as e:
         _err("schedule", str(e))
+    if schedule.retained_count < 10 * gmm_k:
+        _err("schedule", f"retains {schedule.retained_count} draws; the gmm_k = {gmm_k} "
+                         f"mixture fit needs at least {10 * gmm_k}")
 
     ladder_raw = doc.get("ladder", {})
     if not isinstance(ladder_raw, dict):
@@ -368,8 +373,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     """Full twin experiment: synthesize, sample, fit, report.
 
     When out_dir is given, writes samples.csv, report.json, and (if the
-    config asks for a grid) truth/best field grids. Output is atomic:
-    on failure any partially written files are removed.
+    config asks for a grid) truth/best field grids. Every file is first
+    written under a temporary name in out_dir and then moved into place
+    with os.replace, so a failed run removes only its temporary files
+    and leaves the previous run's outputs as they were.
     """
     if not config.truth:
         raise ConfigError("truth: no heaters configured, the posterior carries no signal")
@@ -389,30 +396,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                       sample_set.acceptance_rates, sample_set.swap_rates)
 
     if out_dir is not None:
-        written = []
+        os.makedirs(out_dir, exist_ok=True)
+        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
         try:
-            os.makedirs(out_dir, exist_ok=True)
-            p = os.path.join(out_dir, "samples.csv")
-            write_samples(sample_set.samples, p)
-            written.append(p)
-            p = os.path.join(out_dir, "report.json")
-            write_report(report, p)
-            written.append(p)
+            staged = [os.path.join(staging, "samples.csv"), os.path.join(staging, "report.json")]
+            write_samples(sample_set.samples, staged[0])
+            write_report(report, staged[1])
             if config.grid is not None:
                 for tag, states in (("truth", pack(config.truth)),
                                     ("best", report.best_mean)):
                     g = field_grid(heaters_from(states, config.spec.n_heaters),
                                    config.grid.region, config.grid.resolution,
                                    config.sensors.wall, config.quad_n)
-                    p = os.path.join(out_dir, f"{tag}_grid.csv")
-                    written.extend(write_grid(g, p))
-        except BaseException:
-            for p in written:
-                try:
-                    os.unlink(p)
-                except OSError:
-                    pass
-            raise
+                    staged.extend(write_grid(g, os.path.join(staging, f"{tag}_grid.csv")))
+            for p in staged:
+                os.replace(p, os.path.join(out_dir, os.path.basename(p)))
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     return report
 
 

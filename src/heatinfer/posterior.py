@@ -172,12 +172,12 @@ def gmm_density(gmm: GaussianMixture, x) -> float:
 def best_component(gmm: GaussianMixture, target) -> int:
     """Index of the component whose mean scores the highest log posterior.
 
-    Ties break toward the larger weight, then the lower index.
+    target scores a stack of states (k, dim) in one call. Ties break
+    toward the larger weight, then the lower index.
     """
     best = 0
     best_score = -np.inf
-    for j in range(gmm.k):
-        score = target(gmm.means[j])
+    for j, score in enumerate(target(gmm.means)):
         if score > best_score or (score == best_score and gmm.weights[j] > gmm.weights[best]):
             best, best_score = j, score
     return best

@@ -111,28 +111,33 @@ def propose(x: np.ndarray, var: float, rng: np.random.Generator) -> np.ndarray:
     return x + np.sqrt(var) * rng.standard_normal(len(x))
 
 
-def mh_step(chain_index: int, ladder: ChainLadder, target, var: float,
-            rng: np.random.Generator, canon=None) -> bool:
-    """One Metropolis update of chain i against its tempered target.
+def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
+    """One Metropolis sweep: every chain of the ladder updates once.
 
-    Proposes, canonicalizes, and accepts with probability
-    min(1, exp(beta_i * (l(x') - l(x)))) where l is the untempered log
-    posterior. Cached values are updated on acceptance.
+    Each chain proposes from its own stream, in chain order; the
+    proposals are canonicalized and scored together by one target call.
+    Chain i then accepts with probability
+    min(1, exp(beta_i * (l(x') - l(x)))), where l is the untempered log
+    posterior, drawing its uniform from its own stream only when the
+    move is not uphill. Cached values are updated on acceptance. Returns
+    the acceptance flags (n_chains,).
     """
-    x = ladder.states[chain_index]
-    xp = propose(x, var, rng)
+    proposals = np.array([propose(x, var, rng) for x, rng in zip(ladder.states, ladder.rngs)])
     if canon is not None:
-        xp = canon(xp)
-    lp = target(xp)
-    beta = ladder.base ** ladder.exponents[chain_index]
-    # log(u) <= 0 < beta * delta handles the sure-accept case; nan (both
-    # -inf) and -inf deltas compare False and reject.
-    delta = lp - ladder.log_posts[chain_index]
-    accept = bool(delta > 0 or np.log(rng.random()) < beta * delta)
-    if accept:
-        ladder.states[chain_index] = xp
-        ladder.log_posts[chain_index] = lp
-    return accept
+        proposals = canon(proposals)
+    lps = target(proposals)
+    accepted = np.zeros(ladder.n_chains, dtype=bool)
+    for i, rng in enumerate(ladder.rngs):
+        beta = ladder.base ** ladder.exponents[i]
+        lp = float(lps[i])
+        # log(u) <= 0 < beta * delta handles the sure-accept case; nan (both
+        # -inf) and -inf deltas compare False and reject.
+        delta = lp - ladder.log_posts[i]
+        if delta > 0 or np.log(rng.random()) < beta * delta:
+            ladder.states[i] = proposals[i]
+            ladder.log_posts[i] = lp
+            accepted[i] = True
+    return accepted
 
 
 def swap_step(ladder: ChainLadder, rng: np.random.Generator):
@@ -173,8 +178,8 @@ def _initialize(ladder: ChainLadder, target, canon, initial) -> None:
                 x = ladder.rngs[i].uniform(lo, hi)
         for _ in range(_INIT_RETRIES):
             if canon is not None:
-                x = canon(x)
-            lp = target(x)
+                x = canon(x[None])[0]
+            lp = float(target(x[None])[0])
             if np.isfinite(lp):
                 break
             x = ladder.rngs[i].uniform(lo, hi)
@@ -189,6 +194,9 @@ def _initialize(ladder: ChainLadder, target, canon, initial) -> None:
 def run(ladder: ChainLadder, target, schedule: McmcSchedule,
         initial=None, canon=None, progress=sys.stderr) -> SampleSet:
     """Run both phases and return the trimmed cold-chain sample set.
+
+    target maps a stack of states (m, dim) to their log posteriors (m,);
+    canon, when given, maps such a stack to its canonical form.
 
     The cold chain starts from `initial` when given (falling back to a
     uniform draw if it lies outside the box). Phase 1 is adaptation and
@@ -206,9 +214,7 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
               (schedule.phase2_steps, schedule.phase2_var))
     for phase, (steps, var) in enumerate(phases):
         for sweep in range(steps):
-            for i in range(n):
-                if mh_step(i, ladder, target, var, ladder.rngs[i], canon):
-                    accepted[phase, i] += 1
+            accepted[phase] += mh_step(ladder, target, var, canon)
             if (sweep + 1) % schedule.swap_interval == 0 and n > 1:
                 flags = swap_step(ladder, ladder.swap_rng)
                 swap_acc += np.asarray(flags, dtype=int)

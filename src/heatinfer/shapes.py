@@ -87,20 +87,29 @@ def _tables(n: int, n_coef: int):
     return tab
 
 
-def boundary_nodes(shape: HeaterShape, n: int):
-    """Boundary samples and analytic tangents at t_j = 2*pi*j/n.
+def node_rows(C: np.ndarray, centers: np.ndarray, n: int):
+    """Boundary samples and analytic tangents of m shapes at t_j = 2*pi*j/n.
 
-    Returns (x, y, dx, dy) arrays of length n, where (dx, dy) is the
-    derivative of the parameterization with respect to t.
+    C holds the shapes' coefficients (m, J) and centers their centers
+    (m, 2). Returns (x, y, dx, dy), each (m, n), where (dx, dy) is the
+    derivative of the parameterization with respect to t. Each row is a
+    stacked matrix-vector product, so it matches the one-shape product
+    bit for bit.
     """
-    c = np.asarray(shape.c)
-    ct, st, ks = _tables(n, len(c))
-    x = shape.center[0] + ct @ c
-    y = shape.center[1] + st @ c
-    kc = ks * c
-    dx = -(st @ kc)
-    dy = ct @ kc
+    ct, st, ks = _tables(n, C.shape[1])
+    c = C[:, :, None]
+    kc = (ks * C)[:, :, None]
+    x = centers[:, 0:1] + (ct @ c)[:, :, 0]
+    y = centers[:, 1:2] + (st @ c)[:, :, 0]
+    dx = -(st @ kc)[:, :, 0]
+    dy = (ct @ kc)[:, :, 0]
     return x, y, dx, dy
+
+
+def boundary_nodes(shape: HeaterShape, n: int):
+    """node_rows for a single shape: (x, y, dx, dy) arrays of length n."""
+    x, y, dx, dy = node_rows(np.array([shape.c]), np.array([shape.center]), n)
+    return x[0], y[0], dx[0], dy[0]
 
 
 def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:
@@ -115,12 +124,7 @@ def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:
     c = np.asarray(shape.c)
     if n <= 4 * len(c):
         raise ValueError(f"n must exceed 4*len(c) = {4 * len(c)}")
-    ct, st, ks = _tables(n, len(c))
-    x = ct @ c
-    y = st @ c
-    kc = ks * c
-    dx = -(st @ kc)
-    dy = ct @ kc
+    x, y, dx, dy = (a[0] for a in node_rows(c[None], np.zeros((1, 2)), n))
     w = 2.0 * np.pi / n
     area = 0.5 * float(np.sum(x * dy - y * dx)) * w
     if area <= 0.0:

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from heatinfer import bayes
-from heatinfer.bayes import (HeaterState, Observation, StateSpec, canonicalize,
+from heatinfer.bayes import (BLOCK, HeaterState, Observation, StateSpec, canonicalize,
                              log_likelihood, log_posterior, log_prior,
                              heaters_from, make_log_posterior, pack)
-from heatinfer.field import SensorArray, observe
+from heatinfer.field import (FieldEvaluationError, SensorArray, Wall, WallGeometryError,
+                             observe)
+from heatinfer.sampler import ChainLadder, McmcSchedule, run
+from heatinfer.shapes import DegenerateShapeError
 
 TRUTH = HeaterState(0.5, 0.8, 1.0, 0.5, 0.25)
 SENSORS = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
@@ -145,13 +148,13 @@ def test_posterior_truth_noiseless():
 
 def test_posterior_short_circuits_forward_model(monkeypatch):
     calls = {"n": 0}
-    real = bayes.fieldmod.observe
+    real = bayes.fieldmod.temperature_rows
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bayes.fieldmod, "observe", counting)
+    monkeypatch.setattr(bayes.fieldmod, "temperature_rows", counting)
     obs = _clean_obs()
     spec = StateSpec.create(1)
     out = log_posterior(pack([HeaterState(5.0, 0.8, 1.0, 0.5, 0.25)]), obs, SENSORS, spec)
@@ -198,7 +201,7 @@ def test_programming_error_is_not_a_rejection(monkeypatch):
         raise ValueError("bug in the forward model")
 
     obs = _clean_obs()
-    monkeypatch.setattr(bayes.fieldmod, "observe", broken)
+    monkeypatch.setattr(bayes.fieldmod, "temperature_rows", broken)
     with pytest.raises(ValueError, match="bug in the forward model"):
         log_posterior(pack([TRUTH]), obs, SENSORS, StateSpec.create(1))
 
@@ -228,4 +231,114 @@ def test_make_log_posterior_closure():
     spec = StateSpec.create(1)
     target = make_log_posterior(obs, SENSORS, spec)
     x = pack([TRUTH])
-    assert target(x) == log_posterior(x, obs, SENSORS, spec)
+    assert target(x[None]).shape == (1,)
+    assert target(x[None])[0] == log_posterior(x, obs, SENSORS, spec)
+
+
+def _list_sort_canonical(x, n_heaters):
+    """One state's blocks sorted by a stable list.sort on (q, x0, y0)."""
+    blocks = [x[BLOCK * h:BLOCK * (h + 1)] for h in range(n_heaters)]
+    blocks.sort(key=lambda b: (b[2], b[0], b[1]))
+    return np.concatenate(blocks)
+
+
+def test_canonicalize_rows_follow_the_list_sort_rule():
+    spec = StateSpec.create(3)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0.1, 1.0, (200, 15))
+    # coarse values force ties on q, on q and x0, and on all three keys,
+    # where only a stable sort keeps the blocks' c1, c2 in input order
+    X[:100, 2::BLOCK] = rng.integers(0, 2, (100, 3))
+    X[:50, 0::BLOCK] = rng.integers(0, 2, (50, 3))
+    X[:20, 1::BLOCK] = rng.integers(0, 2, (20, 3))
+    got = canonicalize(X, spec)
+    assert got.shape == X.shape
+    for x, row in zip(X, got):
+        np.testing.assert_array_equal(row, _list_sort_canonical(x, 3))
+        np.testing.assert_array_equal(canonicalize(x, spec), row)
+
+
+def _scored_alone(x, obs, sensors, spec):
+    """Log posterior of one state through the one-configuration forward model."""
+    lp = log_prior(x, spec)
+    if lp == -np.inf:
+        return -np.inf
+    try:
+        h = observe(heaters_from(x, spec.n_heaters), sensors)
+    except (DegenerateShapeError, WallGeometryError, FieldEvaluationError):
+        return -np.inf
+    r = obs.values - h
+    return lp + -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
+
+
+def _assert_rows_score_alone(X, obs, sensors, spec):
+    got = make_log_posterior(obs, sensors, spec)(X)
+    assert got.shape == (len(X),)
+    for x, g in zip(X, got):
+        assert g == log_posterior(x, obs, sensors, spec)
+        assert g == _scored_alone(x, obs, sensors, spec)
+    return got
+
+
+def test_batched_rows_equal_scalar_scores():
+    obs = _clean_obs()
+    spec = StateSpec.create(1)
+    X = np.array([
+        pack([TRUTH]),
+        [3.0, 0.8, 1.0, 0.5, 0.25],  # outside the box
+        [0.5, -0.1, 1.0, 0.5, 0.25],  # below the half-plane
+        [0.5, 0.8, 1.0, 0.0, 0.0],  # c1 = 0: degenerate shape
+        [0.0, 0.31, 1.0, 0.3, 0.0],  # 0.01 from sensor (0, 0): doubled nodes
+        [0.55, 0.8, 1.0, 0.5, 0.25],  # far from every sensor
+    ])
+    got = _assert_rows_score_alone(X, obs, SENSORS, spec)
+    assert np.isfinite(got[[0, 4, 5]]).all() and np.all(got[1:4] == -np.inf)
+
+
+def test_batched_rows_equal_scalar_scores_on_a_node():
+    # the t = 0 node of the first row sits exactly on the sensor at (0, 0)
+    obs = _clean_obs()
+    spec = StateSpec.create(1, half_plane=False)
+    X = np.array([[-0.5, 0.0, 1.0, 0.25, 0.25], pack([TRUTH]), [0.0, 0.31, 1.0, 0.3, 0.0]])
+    assert np.isfinite(_assert_rows_score_alone(X, obs, SENSORS, spec)).all()
+
+
+def test_batched_rows_equal_scalar_scores_two_heaters():
+    sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
+    a, b = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14), HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
+    obs = Observation(observe([(a.shape(), a.q), (b.shape(), b.q)], sensors), 5e-4)
+    spec = StateSpec.create(2)
+    near = HeaterState(-1.0 / 7.0, 0.21, 2.0, 0.2, 0.0)  # 0.01 above a sensor
+    X = np.array([pack([a, b]), pack([a, near]), pack([near, b]),
+                  pack([a, HeaterState(-0.6, 0.6, 2.0, 0.0, 0.0)]), pack([b, a])])
+    got = _assert_rows_score_alone(X, obs, sensors, spec)
+    assert np.isfinite(got[[0, 1, 2, 4]]).all() and got[3] == -np.inf
+
+
+def test_wall_mode_ladder_matches_scalar_scores():
+    sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 5), np.zeros(5)]), Wall.ADIABATIC_Y0)
+    truth = HeaterState(0.2, 0.35, 1.0, 0.3, 0.0)
+    obs = Observation(observe([(truth.shape(), truth.q)], sensors), 5e-4)
+    spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
+    sched = McmcSchedule(phase1_steps=40, phase1_var=4e-3, phase2_steps=160, phase2_var=4e-3,
+                         thin=1, seed=5)
+    geometry_rejects = []
+
+    def alone(X):
+        scores = np.array([_scored_alone(x, obs, sensors, spec) for x in X])
+        geometry_rejects.extend(s == -np.inf and log_prior(x, spec) > -np.inf
+                                for x, s in zip(X, scores))
+        return scores
+
+    batched = run(ChainLadder.create(spec.bounds, sched.seed), make_log_posterior(obs, sensors, spec),
+                  sched, initial=pack([truth]), progress=None)
+    scalar = run(ChainLadder.create(spec.bounds, sched.seed), alone, sched,
+                 initial=pack([truth]), progress=None)
+    np.testing.assert_array_equal(batched.samples, scalar.samples)
+    for phase in ("phase1", "phase2"):
+        np.testing.assert_array_equal(batched.acceptance_rates[phase],
+                                      scalar.acceptance_rates[phase])
+    assert any(geometry_rejects)  # some proposals reached below the wall
+    X = np.array([pack([truth]), [0.0, 0.2, 1.0, 0.5, 0.0], [0.5, 0.31, 1.0, 0.3, 0.0]])
+    got = _assert_rows_score_alone(X, obs, sensors, spec)
+    assert got[1] == -np.inf and np.isfinite(got[[0, 2]]).all()

@@ -199,6 +199,22 @@ def test_run_experiment_atomic_on_failure(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+def test_failed_run_keeps_previous_outputs(tmp_path, monkeypatch):
+    grid = {"region": [-1, 1, 0, 1.5], "resolution": [4, 3]}
+    run_experiment(_tiny_config(grid=grid), out_dir=str(tmp_path), progress=None)
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert "samples.csv" in before and "truth_grid.csv" in before
+
+    def boom(grid, path_csv):
+        raise OSError("disk full")
+
+    # a different seed would rewrite samples.csv before the grids fail
+    monkeypatch.setattr(harness, "write_grid", boom)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(_tiny_config(grid=grid, seed=425), out_dir=str(tmp_path), progress=None)
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
 def test_run_experiment_rejects_empty_truth():
     config = parse_config({"truth": [], "sensors": {"count": 3},
                            "estimator": {"n_heaters": 1}})
@@ -343,3 +359,16 @@ def test_cli_unsatisfiable_estimator_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: ") and "initial state" in err[0]
+
+
+def test_cli_schedule_too_short_for_the_mixture_fit(tmp_path, capsys):
+    # 600 production sweeps, half burned in, thin 10: 30 draws for a 5-component fit
+    doc = {**MINIMAL, "gmm_k": 5, "schedule": {"phase1_steps": 100, "phase2_steps": 600}}
+    cfg = _write_cfg(tmp_path, doc)
+    out = tmp_path / "o"
+    rc = cli.main(["run", "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.match(r"error: schedule: retains 30 draws; .* at least 50", err[0])
+    assert not os.path.exists(out / "samples.csv")

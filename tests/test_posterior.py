@@ -76,9 +76,14 @@ def test_density_peaks_at_component_mean():
     assert gmm_density(gmm, (2.0, -1.0)) > gmm_density(gmm, (8.0, 8.0))
 
 
+def rows(target):
+    """Batched (k, dim) -> (k,) form of a one-state target."""
+    return lambda X: np.array([target(x) for x in X])
+
+
 def test_best_component_single():
     gmm = GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None])
-    assert best_component(gmm, lambda x: 0.0) == 0
+    assert best_component(gmm, rows(lambda x: 0.0)) == 0
 
 
 def test_best_component_skips_infeasible_means():
@@ -89,7 +94,7 @@ def test_best_component_skips_infeasible_means():
     def target(x):
         return -np.inf if abs(x[0]) > 1.0 else -float(x @ x)
 
-    assert best_component(gmm, target) == 1
+    assert best_component(gmm, rows(target)) == 1
 
 
 def test_best_component_affine_invariance():
@@ -98,14 +103,14 @@ def test_best_component_affine_invariance():
                           np.repeat(np.eye(3)[None], 4, axis=0))
     target = lambda x: -float(x @ x)  # noqa: E731
     scaled = lambda x: 3.0 * target(x) + 11.0  # noqa: E731
-    assert best_component(gmm, target) == best_component(gmm, scaled)
+    assert best_component(gmm, rows(target)) == best_component(gmm, rows(scaled))
 
 
 def test_best_component_tie_breaks_to_heavier():
     gmm = GaussianMixture(np.array([0.2, 0.8]),
                           np.array([[1.0, 0.0], [-1.0, 0.0]]),
                           np.array([np.eye(2), np.eye(2)]))
-    assert best_component(gmm, lambda x: 0.0) == 1
+    assert best_component(gmm, rows(lambda x: 0.0)) == 1
 
 
 def test_pca_diagonal():

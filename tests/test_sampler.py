@@ -8,6 +8,11 @@ BOX1 = np.array([[-10.0, 10.0]])
 BOX3 = np.array([[-10.0, 10.0]] * 3)
 
 
+def rows(target):
+    """Batched (m, dim) -> (m,) form of a one-state target."""
+    return lambda X: np.array([target(x) for x in X])
+
+
 def _gauss_target(mean, sigma):
     mean = np.asarray(mean, dtype=float)
 
@@ -53,7 +58,7 @@ def _ladder_for(target, bounds, seed=0, exponents=(0,)):
 def test_mh_step_always_accepts_uphill():
     target = _gauss_target([0.0], 1.0)
     ladder = _ladder_for(target, BOX1, seed=3)
-    rng = np.random.default_rng(1)
+    ladder.rngs[0] = np.random.default_rng(1)
     seen = {}
 
     def recording(x):
@@ -65,7 +70,7 @@ def test_mh_step_always_accepts_uphill():
         ladder.states[0] = np.array([5.0])
         before = target(ladder.states[0])
         ladder.log_posts[0] = before
-        accepted = mh_step(0, ladder, recording, 1e-4, rng)
+        accepted = mh_step(ladder, rows(recording), 1e-4)[0]
         if seen["lp"] > before:
             assert accepted
             uphill += 1
@@ -76,10 +81,10 @@ def test_mh_step_rejects_minus_infinity():
     target = lambda x: -np.inf  # noqa: E731
     ladder = ChainLadder.create(BOX1, 0, exponents=(0,))
     ladder.log_posts[0] = 0.0
-    rng = np.random.default_rng(0)
+    ladder.rngs[0] = np.random.default_rng(0)
     state = ladder.states[0].copy()
     for _ in range(50):
-        assert not mh_step(0, ladder, target, 1e-2, rng)
+        assert not mh_step(ladder, rows(target), 1e-2)[0]
     np.testing.assert_array_equal(ladder.states[0], state)
 
 
@@ -87,12 +92,12 @@ def test_mh_step_unit_drop_acceptance_rate():
     # fixed log-posterior drop of 1: acceptance must track exp(-1)
     ladder = ChainLadder.create(BOX1, 0, exponents=(0,))
     target = lambda x: -1.0  # noqa: E731
-    rng = np.random.default_rng(123)
+    ladder.rngs[0] = np.random.default_rng(123)
     n, hits = 100_000, 0
     for _ in range(n):
         ladder.states[0] = np.zeros(1)
         ladder.log_posts[0] = 0.0
-        if mh_step(0, ladder, target, 1e-4, rng):
+        if mh_step(ladder, rows(target), 1e-4)[0]:
             hits += 1
     assert hits / n == pytest.approx(np.exp(-1.0), rel=0.02)
 
@@ -129,7 +134,7 @@ def test_run_retained_count_arithmetic():
     assert McmcSchedule().retained_count == 2500
     sched = McmcSchedule(phase1_steps=10, phase2_steps=1000, thin=10, seed=1)
     ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
-    out = run(ladder, _gauss_target([0.0], 1.0), sched, progress=None)
+    out = run(ladder, rows(_gauss_target([0.0], 1.0)), sched, progress=None)
     assert out.samples.shape == (50, 1)
 
 
@@ -140,14 +145,14 @@ def test_run_deterministic_reruns():
     outs = []
     for _ in range(2):
         ladder = ChainLadder.create(BOX3, sched.seed)
-        outs.append(run(ladder, target, sched, progress=None))
+        outs.append(run(ladder, rows(target), sched, progress=None))
     np.testing.assert_array_equal(outs[0].samples, outs[1].samples)
     np.testing.assert_array_equal(outs[0].swap_rates, outs[1].swap_rates)
     for phase in ("phase1", "phase2"):
         np.testing.assert_array_equal(outs[0].acceptance_rates[phase],
                                       outs[1].acceptance_rates[phase])
 
-    other = run(ChainLadder.create(BOX3, 78), target,
+    other = run(ChainLadder.create(BOX3, 78), rows(target),
                 McmcSchedule(phase1_steps=200, phase2_steps=2000, phase1_var=0.05,
                              phase2_var=0.05, thin=5, seed=78), progress=None)
     assert not np.array_equal(outs[0].samples, other.samples)
@@ -158,7 +163,7 @@ def test_run_caches_stay_coherent():
     sched = McmcSchedule(phase1_steps=100, phase2_steps=500, phase1_var=0.1,
                          phase2_var=0.1, thin=5, seed=5)
     ladder = ChainLadder.create(BOX3, sched.seed)
-    run(ladder, target, sched, progress=None)
+    run(ladder, rows(target), sched, progress=None)
     for i in range(ladder.n_chains):
         assert ladder.log_posts[i] == pytest.approx(target(ladder.states[i]), abs=1e-12)
 
@@ -168,11 +173,11 @@ def test_run_initial_state_honored():
     sched = McmcSchedule(phase1_steps=0, phase2_steps=10, phase2_var=1e-12,
                          burn_in_fraction=0.0, thin=1, seed=9)
     ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
-    out = run(ladder, target, sched, initial=np.array([0.125]), progress=None)
+    out = run(ladder, rows(target), sched, initial=np.array([0.125]), progress=None)
     np.testing.assert_allclose(out.samples, 0.125, atol=1e-5)
     # out-of-box initial falls back to a uniform draw
     ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
-    out = run(ladder, target, sched, initial=np.array([99.0]), progress=None)
+    out = run(ladder, rows(target), sched, initial=np.array([99.0]), progress=None)
     assert np.all(np.abs(out.samples) <= 10.0)
 
 
@@ -183,7 +188,7 @@ def test_acceptance_rate_decreases_with_variance():
         sched = McmcSchedule(phase1_steps=0, phase2_steps=4000, phase2_var=var,
                              thin=10, seed=21)
         ladder = ChainLadder.create(BOX3, sched.seed, exponents=(0,))
-        out = run(ladder, target, sched, initial=np.zeros(3), progress=None)
+        out = run(ladder, rows(target), sched, initial=np.zeros(3), progress=None)
         rates.append(out.acceptance_rates["phase2"][0])
     assert rates[0] >= rates[1] >= rates[2]
 
@@ -216,7 +221,7 @@ def test_three_state_stationary_distribution():
     sched = McmcSchedule(phase1_steps=0, phase2_steps=1_000_000, phase2_var=1.0,
                          burn_in_fraction=0.0, thin=1, seed=31)
     ladder = ChainLadder.create(np.array([[0.0, 3.0]]), sched.seed, exponents=(0,))
-    out = run(ladder, target, sched, progress=None)
+    out = run(ladder, rows(target), sched, progress=None)
     occupancy = np.bincount(out.samples[:, 0].astype(int), minlength=3) / len(out.samples)
     np.testing.assert_allclose(occupancy, probs, atol=0.01)
 
@@ -232,11 +237,11 @@ def test_tempering_crosses_separated_modes():
     sched = McmcSchedule(phase1_steps=1000, phase2_steps=20_000, phase1_var=0.09,
                          phase2_var=0.09, thin=4, seed=11)
     ladder = ChainLadder.create(BOX1, sched.seed)
-    tempered = run(ladder, target, sched, progress=None).samples[:, 0]
+    tempered = run(ladder, rows(target), sched, progress=None).samples[:, 0]
     frac_tempered = np.mean(tempered > 0.0)
     assert 0.1 <= frac_tempered <= 0.9
 
-    single = run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), target,
+    single = run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), rows(target),
                  sched, progress=None).samples[:, 0]
     frac_single = min(np.mean(single > 0.0), np.mean(single < 0.0))
     assert frac_single < 0.01
@@ -249,7 +254,7 @@ def test_progress_lines_on_given_stream():
     sched = McmcSchedule(phase1_steps=10_000, phase2_steps=10_000, phase1_var=0.1,
                          phase2_var=0.1, thin=100, seed=2)
     stream = io.StringIO()
-    run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), target, sched,
+    run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), rows(target), sched,
         progress=stream)
     lines = [ln for ln in stream.getvalue().splitlines() if ln.startswith("[mcmc]")]
     assert len(lines) == 2
@@ -260,3 +265,61 @@ def test_sample_set_is_plain_data():
     s = SampleSet(np.zeros((2, 3)), {"phase1": np.zeros(1), "phase2": np.zeros(1)},
                   np.zeros(0))
     assert s.samples.shape == (2, 3)
+
+
+def _reference_sweep(ladder, target, var):
+    """Chain-by-chain update with one scalar target call per chain.
+
+    This is the update mh_step's batched sweep replaced; the two must
+    move every chain identically.
+    """
+    flags = []
+    for i, rng in enumerate(ladder.rngs):
+        xp = propose(ladder.states[i], var, rng)
+        lp = target(xp)
+        beta = ladder.base ** ladder.exponents[i]
+        delta = lp - ladder.log_posts[i]
+        accept = bool(delta > 0 or np.log(rng.random()) < beta * delta)
+        if accept:
+            ladder.states[i] = xp
+            ladder.log_posts[i] = lp
+        flags.append(accept)
+    return flags
+
+
+def test_sweep_matches_per_chain_reference():
+    gauss = _gauss_target([0.2, -0.1, 0.0], 0.3)
+
+    def target(x):  # a support edge inside the box exercises -inf proposals
+        return gauss(x) if np.all(np.abs(x) < 0.8) else -np.inf
+
+    box = np.array([[-1.0, 1.0]] * 3)
+    batched, reference = ChainLadder.create(box, 4), ChainLadder.create(box, 4)
+    for ladder in (batched, reference):
+        ladder.log_posts = [target(x) for x in ladder.states]
+    rejected = 0
+    for _ in range(400):
+        flags = mh_step(batched, rows(target), 0.05)
+        assert flags.tolist() == _reference_sweep(reference, target, 0.05)
+        rejected += int(np.sum(~flags))
+    assert rejected > 0
+    for a, b in zip(batched.states, reference.states):
+        np.testing.assert_array_equal(a, b)
+    assert batched.log_posts == reference.log_posts
+
+
+def test_run_scores_each_sweep_in_one_call():
+    shapes = []
+    gauss = rows(_gauss_target([0.0, 0.0, 0.0], 1.0))
+
+    def target(X):
+        shapes.append(X.shape)
+        return gauss(X)
+
+    sched = McmcSchedule(phase1_steps=4, phase2_steps=6, phase1_var=0.1, phase2_var=0.1,
+                         thin=1, seed=3)
+    ladder = ChainLadder.create(BOX3, sched.seed)
+    run(ladder, target, sched, progress=None)
+    n = ladder.n_chains
+    assert shapes[:n] == [(1, 3)] * n  # each chain's starting state, scored on its own
+    assert shapes[n:] == [(n, 3)] * (sched.phase1_steps + sched.phase2_steps)
