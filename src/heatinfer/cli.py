@@ -7,7 +7,9 @@
 
 Exit code 0 on success. Failures print a single machine-parsable line
 `error: <message>` on standard error and exit nonzero. All progress and
-diagnostics go to standard error; result files land in --out.
+diagnostics go to standard error; result files land in --out, each moved
+into place only once the command has written all of them, so a failed
+command leaves the files already there as they were.
 """
 
 import argparse
@@ -26,12 +28,11 @@ from .harness import ConfigError, load_config
 def _cmd_synth(args) -> int:
     config = load_config(args.config, args.seed)
     obs = harness.synthesize(config)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "observation.json")
-    with open(path, "w") as fh:
-        json.dump({"values": obs.values.tolist(), "noise_sigma": obs.noise_sigma,
-                   "seed": config.seed}, fh, indent=1)
-    print(path)
+    with harness.staged(args.out) as staging:
+        with open(os.path.join(staging, "observation.json"), "w") as fh:
+            json.dump({"values": obs.values.tolist(), "noise_sigma": obs.noise_sigma,
+                       "seed": config.seed}, fh, indent=1)
+    print(os.path.join(args.out, "observation.json"))
     return 0
 
 
@@ -60,9 +61,10 @@ def _cmd_grid(args) -> int:
     g = field_grid(heaters_from(states, config.spec.n_heaters),
                    config.grid.region, config.grid.resolution,
                    config.sensors.wall, config.quad_n)
-    os.makedirs(args.out, exist_ok=True)
-    for path in harness.write_grid(g, os.path.join(args.out, f"{tag}_grid.csv")):
-        print(path)
+    with harness.staged(args.out) as staging:
+        written = harness.write_grid(g, os.path.join(staging, f"{tag}_grid.csv"))
+    for path in written:
+        print(os.path.join(args.out, os.path.basename(path)))
     return 0
 
 
@@ -70,10 +72,9 @@ def _cmd_fit(args) -> int:
     config = load_config(args.config, args.seed)
     samples = harness.read_samples(args.samples)
     report = harness.fit_samples(config, samples)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.json")
-    harness.write_report(report, path)
-    print(path)
+    with harness.staged(args.out) as staging:
+        harness.write_report(report, os.path.join(staging, "report.json"))
+    print(os.path.join(args.out, "report.json"))
     return 0
 
 

@@ -15,6 +15,12 @@ An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
 below the wall, making the field even in y and its normal derivative
 zero on the wall.
+
+Memory: the kernel walks the points in blocks whose (rows, points, nodes)
+work arrays hold at most _BLOCK_ELEMS elements each, so its four work
+arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the number
+of points, unless a single point times the rows times the nodes already
+exceeds the budget. The blocks change no value.
 """
 
 import enum
@@ -71,16 +77,26 @@ class FieldGrid:
 
 _NODE_SHIFT = 1e-9  # outward offset applied when a point hits a quadrature node
 _WALL_CHECK_N = 256  # boundary nodes tested against the wall
+_BLOCK_ELEMS = 1 << 16  # elements per kernel work array: the four take 2 MB
 
 
-def _offsets(x, y, pts):
-    """Node-minus-point offsets (m, p, n) and their squared lengths.
+def _point_blocks(p: int, rows: int, n: int):
+    """Slices over p points whose (rows, block, n) work arrays hold at most
+    _BLOCK_ELEMS elements (at least one point each), and one flat buffer
+    for the four work arrays of any of those blocks.
 
-    The work arrays share one allocation: allocated and freed one by one,
-    a sweep's few-hundred-kB arrays make the C allocator return memory to
-    the system and fault it back in on every call, tripling their cost.
+    One buffer serves every block: allocated and freed block by block,
+    arrays of a few hundred kB make the C allocator return memory to the
+    system and fault it back in each time, tripling their cost.
     """
-    rhox, rhoy, r2, sq = np.empty((4, len(x), len(pts), x.shape[1]))
+    step = max(1, _BLOCK_ELEMS // max(rows * n, 1))
+    blocks = [slice(i, min(i + step, p)) for i in range(0, p, step)]
+    return blocks, np.empty(4 * rows * min(step, p) * n)
+
+
+def _offsets(x, y, pts, buf):
+    """Node-minus-point offsets (m, p, n) and their squared lengths, in buf."""
+    rhox, rhoy, r2, sq = buf[:4 * x.size * len(pts)].reshape(4, len(x), len(pts), x.shape[1])
     np.subtract(x[:, None, :], pts[None, :, 0:1], out=rhox)
     np.subtract(y[:, None, :], pts[None, :, 1:2], out=rhoy)
     np.multiply(rhox, rhox, out=r2)
@@ -91,7 +107,8 @@ def _offsets(x, y, pts):
 def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
     """Trapezoidal boundary integral (m, p); overwrites its offset arrays.
 
-    on_node says whether some point sits exactly on a node (r2 == 0).
+    on_node says whether some point may sit exactly on a node (r2 == 0);
+    only the entries that do are changed.
     """
     if on_node:
         # shift the offending nodes outward along the boundary normal
@@ -117,23 +134,41 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     dy), each (m, n); q holds the rows' strengths (m,). Accuracy near the
     boundary degrades with node spacing, so a row's nodes are doubled
     once when any point lies within two node spacings of its boundary.
+
+    The points go through in blocks of at most _BLOCK_ELEMS elements per
+    work array. Each row's closest approach is taken over all blocks
+    before any row is integrated, so blocking changes no value. The last
+    block's offsets, still in the buffer, are integrated first: a call
+    that fits in one block computes its offsets once.
     """
-    out = np.empty((len(q), len(pts)))
+    m = len(q)
+    out = np.empty((m, len(pts)))
     x, y, dx, dy = nodes(quad_n)
     # node spacing bounded by max parameterization speed times step
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
-    rhox, rhoy, r2 = _offsets(x, y, pts)
-    r2_min = r2.min(axis=(1, 2))
-    near = r2_min < (2.0 * spacing) ** 2
+    blocks, buf = _point_blocks(len(pts), m, quad_n)
+    closest = np.empty((len(blocks), m))  # smallest r2 per block and row
+    for i, b in enumerate(blocks):
+        kept = _offsets(x, y, pts[b], buf)
+        closest[i] = kept[2].min(axis=(1, 2))
+    near = closest.min(axis=0) < (2.0 * spacing) ** 2
     if not near.all():
         far = ~near if near.any() else slice(None)
-        out[far] = _integrate(rhox[far], rhoy[far], r2[far], dx[far], dy[far], q[far], quad_n,
-                              np.any(r2_min[far] == 0.0))
-    del rhox, rhoy, r2
+        x, y, dx, dy, qf = (a[far] for a in (x, y, dx, dy, q))
+        work = tuple(a[far] for a in kept)
+        for i in reversed(range(len(blocks))):
+            if i < len(blocks) - 1:
+                work = _offsets(x, y, pts[blocks[i]], buf)
+            out[far, blocks[i]] = _integrate(*work, dx, dy, qf, quad_n,
+                                             np.any(closest[i, far] == 0.0))
+    kept = work = buf = None  # let the doubled pass reuse the memory
     if near.any():
         x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
-        rhox, rhoy, r2 = _offsets(x, y, pts)
-        out[near] = _integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n, r2.min() == 0.0)
+        blocks, buf = _point_blocks(len(pts), len(x), 2 * quad_n)
+        for b in blocks:
+            rhox, rhoy, r2 = _offsets(x, y, pts[b], buf)
+            out[near, b] = _integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n,
+                                      r2.min() == 0.0)
     return out
 
 

@@ -7,6 +7,7 @@ probable component. All file formats are plain CSV/JSON so external
 tools can re-plot without this package.
 """
 
+import contextlib
 import csv
 import json
 import os
@@ -373,10 +374,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     """Full twin experiment: synthesize, sample, fit, report.
 
     When out_dir is given, writes samples.csv, report.json, and (if the
-    config asks for a grid) truth/best field grids. Every file is first
-    written under a temporary name in out_dir and then moved into place
-    with os.replace, so a failed run removes only its temporary files
-    and leaves the previous run's outputs as they were.
+    config asks for a grid) truth/best field grids, all through staged().
     """
     if not config.truth:
         raise ConfigError("truth: no heaters configured, the posterior carries no signal")
@@ -396,24 +394,36 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                       sample_set.acceptance_rates, sample_set.swap_rates)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
-        try:
-            staged = [os.path.join(staging, "samples.csv"), os.path.join(staging, "report.json")]
-            write_samples(sample_set.samples, staged[0])
-            write_report(report, staged[1])
+        with staged(out_dir) as staging:
+            write_samples(sample_set.samples, os.path.join(staging, "samples.csv"))
+            write_report(report, os.path.join(staging, "report.json"))
             if config.grid is not None:
                 for tag, states in (("truth", pack(config.truth)),
                                     ("best", report.best_mean)):
                     g = field_grid(heaters_from(states, config.spec.n_heaters),
                                    config.grid.region, config.grid.resolution,
                                    config.sensors.wall, config.quad_n)
-                    staged.extend(write_grid(g, os.path.join(staging, f"{tag}_grid.csv")))
-            for p in staged:
-                os.replace(p, os.path.join(out_dir, os.path.basename(p)))
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
+                    write_grid(g, os.path.join(staging, f"{tag}_grid.csv"))
     return report
+
+
+@contextlib.contextmanager
+def staged(out_dir: str):
+    """Staging directory for a command's output files.
+
+    The files are written into a fresh directory inside out_dir and, once
+    the block finishes, moved into out_dir one by one with os.replace. If
+    the block fails only the staging directory is removed, so the previous
+    outputs in out_dir stay as they were, byte for byte.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+    try:
+        yield staging
+        for name in sorted(os.listdir(staging)):
+            os.replace(os.path.join(staging, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def fit_samples(config: ExperimentConfig, samples: np.ndarray) -> RunReport:
@@ -469,12 +479,29 @@ def write_samples(samples: np.ndarray, path: str) -> None:
 
 
 def read_samples(path: str) -> np.ndarray:
-    """Inverse of write_samples; bitwise exact round trip."""
+    """Inverse of write_samples; bitwise exact round trip.
+
+    A data row (row 1 follows the header) whose length differs from the
+    header's, or that holds anything but finite numbers, is rejected.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty samples file")
-    return np.asarray([[float(v) for v in row] for row in rows[1:]])
+    width = len(rows[0])
+    values = []
+    for i, row in enumerate(rows[1:], 1):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {i}: {len(row)} values, the header names {width}")
+        try:
+            values.append([float(v) for v in row])
+        except ValueError as e:
+            raise ValueError(f"{path}: row {i}: {e}") from None
+    samples = np.asarray(values).reshape(len(values), width)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1}: non-finite value")
+    return samples
 
 
 def write_grid(grid: fieldmod.FieldGrid, path_csv: str):

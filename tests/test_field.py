@@ -1,12 +1,15 @@
+import collections
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatinfer import field as fieldmod
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
                              WallGeometryError, field_grid, jacobian_multipole,
-                             observe, temp_multipole, temperatures)
-from heatinfer.shapes import HeaterShape, boundary_nodes, curve_moments
+                             observe, temp_multipole, temperature_rows, temperatures)
+from heatinfer.shapes import HeaterShape, boundary_nodes, curve_moments, node_rows
 
 from oracles import fan_quadrature_temp, point_source_temp
 
@@ -278,3 +281,126 @@ def test_runtime_under_a_millisecond():
         temperatures(heater, [(2.0, 0.0)])
     per_eval = (time.perf_counter() - start) / n
     assert per_eval < 1e-3
+
+
+# --- point blocks: the kernel's block budget must not change a byte ---
+
+def _count_kernel_work(monkeypatch):
+    """Count node-source calls per node count, and offset-block computations."""
+    counts = collections.Counter()
+
+    def counted(name, key):
+        real = getattr(fieldmod, name)
+
+        def wrapper(*a):
+            counts[key(a)] += 1
+            return real(*a)
+        monkeypatch.setattr(fieldmod, name, wrapper)
+
+    counted("node_rows", lambda a: a[-1])
+    counted("boundary_nodes", lambda a: a[-1])
+    counted("_offsets", lambda a: "offsets")
+    return counts
+
+
+def _assert_blocking_changes_no_byte(monkeypatch, evaluate, budgets=(1, 300)):
+    """evaluate() at each tiny budget equals the default-budget result bytewise.
+
+    Returns the default-budget result and its work counts. The node sources
+    must run as often at every budget: at most once per node count per
+    kernel call.
+    """
+    counts = _count_kernel_work(monkeypatch)
+    ref = evaluate()
+    ref_counts = dict(counts)
+    for budget in budgets:
+        monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
+        counts.clear()
+        got = evaluate()
+        assert got.tobytes() == ref.tobytes()
+        assert {k: v for k, v in counts.items() if k != "offsets"} == \
+            {k: v for k, v in ref_counts.items() if k != "offsets"}
+        assert counts["offsets"] > ref_counts["offsets"]  # the budget did split the points
+    return ref, ref_counts
+
+
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_blocked_grid_next_to_a_heater_is_bit_identical(monkeypatch, wall):
+    heaters = [(HEART, 1.0), (HeaterShape((0.2, 0.0), (-0.6, 0.6)), 2.0)]
+    grid, counts = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: field_grid(heaters, (-1, 1, -0.5, 1.5), (14, 11), wall, 64).values)
+    images = 2 if wall is Wall.ADIABATIC_Y0 else 1
+    # one coarse node set per heater and image; cells next to both heaters
+    # double theirs, while the images sit below every cell
+    assert counts[64] == 2 * images and counts[128] == 2
+    assert np.isfinite(grid).all()
+
+
+def _ladder(y0s, q=(1.0, 2.0)):
+    """Two-heater configurations (C, centers, q): a heart at (0.5, y0) and a
+    disk at (-0.6, 0.6) for each y0."""
+    m = len(y0s)
+    C = np.tile([[0.28, 0.14], [0.2, 0.0]], (m, 1, 1))
+    centers = np.array([[[0.5, y0], [-0.6, 0.6]] for y0 in y0s])
+    return C, centers, np.tile(q, (m, 1))
+
+
+SENSOR_LINE = np.column_stack([np.linspace(-1, 1, 12), np.zeros(12)])
+
+
+def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
+    # in the first two rows the heart reaches down to 0.066 above the sensor
+    # line, inside two node spacings (0.11 at 64 nodes): doubled; the other
+    # rows stay far
+    C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9])
+    rows, counts = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, quad_n=64))
+    assert counts[64] == counts[128] == 1
+    # a sweep-sized call fits in one block: one coarse and one doubled offset block
+    assert counts["offsets"] == 2
+    for i in range(len(q)):
+        alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])],
+                             SENSOR_LINE, quad_n=64)
+        assert rows[i].tobytes() == alone.tobytes()
+
+
+def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
+    C, centers, q = _ladder([0.8, 0.9])
+    # a point on the heart's doubled-node boundary of the first row
+    x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
+    pts = np.vstack([SENSOR_LINE, [[x[0, 5], y[0, 5]]]])
+    rows, _ = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: temperature_rows(C, centers, q, pts, quad_n=64))
+    assert np.isfinite(rows).all()
+
+
+def test_blocked_wall_rows_are_bit_identical(monkeypatch):
+    # row 1 crosses the wall (NaN row); the others gain mirror-image rows
+    C, centers, q = _ladder([0.43, 0.3, 0.8])
+    rows, counts = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64))
+    assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
+    # the wall check on all rows and again on the clear ones, then one kernel call
+    assert counts[256] == 2 and counts[64] == counts[128] == 1
+
+
+def test_blocked_zero_rows(monkeypatch):
+    C, centers, q = _ladder([])
+    centers = centers.reshape(0, 2, 2)
+    rows, _ = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, quad_n=64),
+        budgets=(1,))
+    assert rows.shape == (0, 12)
+
+
+def test_grid_working_set_is_bounded():
+    # in one block, this grid's four (1, 10800, 512) work arrays took 177 MB
+    heaters = [(HEART, 1.0), (HeaterShape((0.2, 0.0), (-0.6, 0.6)), 2.0)]
+    field_grid(heaters, (-2, 2, -1, 2), (12, 9))  # warm the trig tables
+    tracemalloc.start()
+    try:
+        field_grid(heaters, (-2, 2, -1, 2), (120, 90), quad_n=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -1,11 +1,14 @@
 """Golden-hash gate: refactors must not change a single output byte.
 
-Runs the twin experiment on both repository configs at a short fixed
-schedule, grids included, and compares the sha256 of every file the run
-writes with values recorded from the code before the forward-model and
-analysis paths were merged. The hashes hold for numpy 2.4.6 with
-OpenBLAS 0.3.31 on x86-64; another numpy or BLAS build may round
-differently and must re-record them from a known-good commit.
+Runs the twin experiment on both repository configs, and on the
+two-heater config with wall-mounted sensors (the only golden case with
+mirror-image rows), at a short fixed schedule, grids included, and
+compares the sha256 of every file the run writes with values recorded
+from the code before the forward-model and analysis paths were merged
+(the wall case: before the field kernel walked its points in blocks).
+The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
+numpy or BLAS build may round differently and must re-record them from a
+known-good commit.
 """
 
 import hashlib
@@ -36,13 +39,30 @@ GOLDEN = {
         "truth_grid.csv": "812eae5c0b508b114fcdec408cdd9cea3f573525d78090f8387a55053ae761d5",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
+    "two_heaters_wall": {
+        "best_grid.csv": "3b4f329188a297eb5619b1e617d43a61ba68db6e7d70997565d54e5d7e74e817",
+        "best_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
+        "report.json": "0d0c7828f78c1180f13acdf59bffa71dc43b2fe4e49398a61eb2f8d7c2b53b7e",
+        "samples.csv": "931457a0cb6324634be0b288bea7306163ec993c8a45a21c5514467e5caf7a87",
+        "truth_grid.csv": "4a266643b3d1465c0ee43d1a44003b866b9622ac494c910de5bd23b0eccb8731",
+        "truth_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
+    },
+}
+
+# name -> (config file, sensor overrides)
+CASES = {
+    "single_heater": ("single_heater", {}),
+    "two_heaters": ("two_heaters", {}),
+    "two_heaters_wall": ("two_heaters", {"wall": True}),
 }
 
 
 def _run_hashes(name, out_dir):
-    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+    config, sensors = CASES[name]
+    with open(os.path.join(CONFIG_DIR, f"{config}.json")) as fh:
         doc = json.load(fh)
     doc["schedule"] = dict(SCHEDULE)
+    doc["sensors"].update(sensors)
     run_experiment(parse_config(doc), out_dir=str(out_dir), progress=None)
     hashes = {}
     for fname in sorted(os.listdir(out_dir)):

@@ -372,3 +372,76 @@ def test_cli_schedule_too_short_for_the_mixture_fit(tmp_path, capsys):
     assert len(err) == 1
     assert re.match(r"error: schedule: retains 30 draws; .* at least 50", err[0])
     assert not os.path.exists(out / "samples.csv")
+
+
+def _half_written(write):
+    """A writer that puts the first half of write's output at its path, then fails."""
+    def failing(obj, path, *rest):
+        write(obj, path, *rest)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+    return failing
+
+
+@pytest.mark.parametrize("command", ["fit", "grid"])
+def test_cli_failed_write_keeps_previous_outputs(tmp_path, capsys, monkeypatch, command):
+    doc = {**MINIMAL, "seed": 31, "estimator": {"known": ["c1", "c2"]},
+           "schedule": TINY_SCHEDULE, "grid": {"region": [-1, 1, 0, 1.5], "resolution": [4, 3]}}
+    cfg = _write_cfg(tmp_path, doc)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert "report.json" in before and "truth_grid.csv" in before
+    argv = {"fit": ["--samples", str(out / "samples.csv")], "grid": []}[command]
+    writer = {"fit": "write_report", "grid": "write_grid"}[command]
+    monkeypatch.setattr(harness, writer, _half_written(getattr(harness, writer)))
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg, "--out", str(out)] + argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == "error: No space left on device"
+    assert sorted(os.listdir(out)) == sorted(before)  # no .staging-* directory left
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_cli_synth_replaces_its_output(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, {**MINIMAL, "seed": 31})
+    out = tmp_path / "out"
+    for seed in ("1", "2"):
+        assert cli.main(["synth", "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+    assert sorted(os.listdir(out)) == ["observation.json"]
+    assert json.loads((out / "observation.json").read_text())["seed"] == 2
+    assert capsys.readouterr().out.splitlines() == [str(out / "observation.json")] * 2
+
+
+HEADER = "h1_x0,h1_y0,h1_q,h1_c1,h1_c2\n"
+BAD_SAMPLES = {
+    "nan": ("0.5,0.8,1,0.5,0.25\n0.5,nan,1,0.5,0.25\n", "row 2: non-finite value"),
+    "infinite": ("0.5,0.8,-inf,0.5,0.25\n", "row 1: non-finite value"),
+    "short_row": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,1\n", "row 2: 3 values, the header names 5"),
+    "long_row": ("0.5,0.8,1,0.5,0.25,7\n", "row 1: 6 values, the header names 5"),
+    "not_a_number": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,x,0.5,0.25\n",
+                     "row 2: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLES))
+def test_cli_fit_rejects_bad_sample_rows(tmp_path, capsys, case):
+    text, message = BAD_SAMPLES[case]
+    cfg = _write_cfg(tmp_path, {**MINIMAL, "seed": 31, "estimator": {"known": ["c1", "c2"]}})
+    samples = tmp_path / "samples.csv"
+    samples.write_text(HEADER + text)
+    rc = cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--samples", str(samples)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {samples}: {message}"]
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_read_samples_header_only(tmp_path):
+    path = tmp_path / "samples.csv"
+    path.write_text(HEADER)
+    assert read_samples(str(path)).shape == (0, 5)
