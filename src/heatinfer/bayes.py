@@ -39,9 +39,6 @@ class HeaterState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.y0, self.q, self.c1, self.c2])
 
-    def shape(self) -> HeaterShape:
-        return HeaterShape((self.c1, self.c2), (self.x0, self.y0))
-
 
 @dataclass(frozen=True)
 class Observation:

@@ -229,14 +229,12 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     _check_quad_n(quad_n)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, h = q.shape
+    clear = slice(None)
     if wall is Wall.ADIABATIC_Y0:
         low = _wall_clearance(partial(node_rows, C.reshape(m * h, C.shape[2]),
                                       centers.reshape(m * h, 2)))
         clear = np.all(low.reshape(m, h) > 0.0, axis=1)
-        if not clear.all():
-            out = np.full((m, pts.shape[0]), np.nan)
-            out[clear] = temperature_rows(C[clear], centers[clear], q[clear], pts, wall, quad_n)
-            return out
+        C, centers, q = C[clear], centers[clear], q[clear]
         C = np.concatenate([C, C], axis=1)
         centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
         q = np.concatenate([q, q], axis=1)
@@ -245,9 +243,11 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
                                 np.ascontiguousarray(centers).reshape(rows, 2)),
                         q.reshape(rows), pts, quad_n).reshape(q.shape + (pts.shape[0],))
     # heaters add in order, originals before mirror images
-    out = np.zeros((m, pts.shape[0]))
+    total = np.zeros((q.shape[0], pts.shape[0]))
     for k in range(each.shape[1]):
-        out += each[:, k]
+        total += each[:, k]
+    out = np.full((m, pts.shape[0]), np.nan)
+    out[clear] = total
     return out
 
 

@@ -316,15 +316,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "known": {str(i): list(mv) for i, mv in sorted(spec.known.items())},
             "half_plane": spec.half_plane,
         },
-        "schedule": {
-            "phase1_steps": schedule.phase1_steps,
-            "phase1_var": schedule.phase1_var,
-            "phase2_steps": schedule.phase2_steps,
-            "phase2_var": schedule.phase2_var,
-            "burn_in_fraction": schedule.burn_in_fraction,
-            "thin": schedule.thin,
-            "swap_interval": schedule.swap_interval,
-        },
+        "schedule": sched,
         "ladder": {"exponents": list(exponents), "base": base},
         "grid": None if grid is None else {
             "region": list(grid.region), "resolution": list(grid.resolution)},
@@ -362,7 +354,7 @@ def synthesize(config: ExperimentConfig) -> Observation:
     The noise stream is seeded independently of the sampler streams, so
     re-synthesis is reproducible and does not perturb the chains.
     """
-    heaters = [(s.shape(), s.q) for s in config.truth]
+    heaters = heaters_from(pack(config.truth), len(config.truth))
     clean = fieldmod.observe(heaters, config.sensors, config.quad_n)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SYNTH_STREAM]))
     noise = config.noise_sigma * rng.standard_normal(len(clean))

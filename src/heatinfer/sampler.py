@@ -14,7 +14,7 @@ chain updates are scheduled.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class McmcSchedule:
 class ChainLadder:
     """Tempered chains: states, cached log posteriors, and RNG streams.
 
+    states (n_chains, dim), log_posts (n_chains,) and betas (n_chains,)
+    hold one row per chain; betas[i] = base ** exponents[i] is computed
+    once here and read by both the Metropolis and the exchange step.
     exponents must be strictly increasing and end at 0, so the last
     chain is the cold one.
     """
@@ -63,24 +66,22 @@ class ChainLadder:
     exponents: tuple
     base: float
     bounds: np.ndarray  # (dim, 2) box used for uniform initialization
-    states: list
-    log_posts: list
+    states: np.ndarray
+    log_posts: np.ndarray
     rngs: list
     swap_rng: np.random.Generator
+    betas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ex = tuple(int(p) for p in self.exponents)
         if ex[-1] != 0 or any(a >= b for a, b in zip(ex, ex[1:])):
             raise ValueError("exponents must be strictly increasing and end at 0")
-        object.__setattr__(self, "exponents", ex)
+        self.exponents = ex
+        self.betas = np.array([self.base ** p for p in ex])
 
     @property
     def n_chains(self) -> int:
         return len(self.exponents)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self.base ** np.asarray(self.exponents, dtype=float)
 
     @classmethod
     def create(cls, bounds, seed: int, exponents=(-4, -3, -2, -1, 0),
@@ -90,9 +91,9 @@ class ChainLadder:
         streams = np.random.SeedSequence(seed).spawn(len(exponents) + 1)
         rngs = [np.random.default_rng(s) for s in streams[:-1]]
         swap_rng = np.random.default_rng(streams[-1])
-        states = [rng.uniform(bounds[:, 0], bounds[:, 1]) for rng in rngs]
+        states = np.array([rng.uniform(bounds[:, 0], bounds[:, 1]) for rng in rngs])
         return cls(tuple(exponents), float(base), bounds, states,
-                   [-np.inf] * len(exponents), rngs, swap_rng)
+                   np.full(len(exponents), -np.inf), rngs, swap_rng)
 
 
 @dataclass(frozen=True)
@@ -128,37 +129,32 @@ def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
     lps = target(proposals)
     accepted = np.zeros(ladder.n_chains, dtype=bool)
     for i, rng in enumerate(ladder.rngs):
-        beta = ladder.base ** ladder.exponents[i]
         lp = float(lps[i])
         # log(u) <= 0 < beta * delta handles the sure-accept case; nan (both
         # -inf) and -inf deltas compare False and reject.
-        delta = lp - ladder.log_posts[i]
-        if delta > 0 or np.log(rng.random()) < beta * delta:
+        delta = lp - float(ladder.log_posts[i])
+        if delta > 0 or np.log(rng.random()) < ladder.betas[i] * delta:
             ladder.states[i] = proposals[i]
             ladder.log_posts[i] = lp
             accepted[i] = True
     return accepted
 
 
-def swap_step(ladder: ChainLadder, rng: np.random.Generator):
+def swap_step(ladder: ChainLadder, rng: np.random.Generator) -> np.ndarray:
     """One sweep of adjacent replica exchanges, scanned cold to hot.
 
     Pair (i, i+1) swaps with probability
     min(1, exp((beta_i - beta_{i+1}) * (l_{i+1} - l_i))); cached log
-    posteriors move with the states. Returns acceptance flags indexed
-    by pair i.
+    posteriors move with the states. Returns the acceptance flags
+    (n_chains - 1,) indexed by pair i.
     """
-    n = ladder.n_chains
-    if n < 2:
-        return []
-    betas = ladder.betas
-    swapped = [False] * (n - 1)
-    for i in range(n - 2, -1, -1):
-        dlog = (betas[i] - betas[i + 1]) * (ladder.log_posts[i + 1] - ladder.log_posts[i])
+    betas, lp = ladder.betas, ladder.log_posts
+    swapped = np.zeros(ladder.n_chains - 1, dtype=bool)
+    for i in range(ladder.n_chains - 2, -1, -1):
+        dlog = (betas[i] - betas[i + 1]) * (lp[i + 1] - lp[i])
         if dlog > 0 or np.log(rng.random()) < dlog:
-            ladder.states[i], ladder.states[i + 1] = ladder.states[i + 1], ladder.states[i]
-            ladder.log_posts[i], ladder.log_posts[i + 1] = (
-                ladder.log_posts[i + 1], ladder.log_posts[i])
+            ladder.states[[i, i + 1]] = ladder.states[[i + 1, i]]
+            lp[[i, i + 1]] = lp[[i + 1, i]]
             swapped[i] = True
     return swapped
 
@@ -207,7 +203,8 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
     accepted = np.zeros((2, n), dtype=int)
     swap_acc = np.zeros(max(n - 1, 1), dtype=int)
     swap_tries = 0
-    cold_states = []
+    burn, thin = int(schedule.phase2_steps * schedule.burn_in_fraction), schedule.thin
+    retained = np.empty((schedule.retained_count, ladder.states.shape[1]))
     total_sweeps = 0
 
     phases = ((schedule.phase1_steps, schedule.phase1_var),
@@ -216,11 +213,10 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
         for sweep in range(steps):
             accepted[phase] += mh_step(ladder, target, var, canon)
             if (sweep + 1) % schedule.swap_interval == 0 and n > 1:
-                flags = swap_step(ladder, ladder.swap_rng)
-                swap_acc += np.asarray(flags, dtype=int)
+                swap_acc += swap_step(ladder, ladder.swap_rng)
                 swap_tries += 1
-            if phase == 1:
-                cold_states.append(ladder.states[-1].copy())
+            if phase == 1 and sweep >= burn and (sweep - burn) % thin == 0:
+                retained[(sweep - burn) // thin] = ladder.states[-1]
             total_sweeps += 1
             if progress is not None and total_sweeps % _PROGRESS_EVERY == 0:
                 acc = accepted[phase] / max(sweep + 1, 1)
@@ -229,10 +225,6 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
                       f"acc={np.array2string(acc, precision=3)} "
                       f"swap={np.array2string(swr, precision=3)}", file=progress)
 
-    burn = int(schedule.phase2_steps * schedule.burn_in_fraction)
-    retained = np.asarray(cold_states[burn::schedule.thin])
-    if retained.size == 0:
-        raise ValueError("schedule retained zero samples")
     rates = {
         "phase1": accepted[0] / max(schedule.phase1_steps, 1),
         "phase2": accepted[1] / schedule.phase2_steps,

@@ -8,14 +8,14 @@ from heatinfer.bayes import (BLOCK, HeaterState, Observation, StateSpec, canonic
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall, WallGeometryError,
                              observe)
 from heatinfer.sampler import ChainLadder, McmcSchedule, run
-from heatinfer.shapes import DegenerateShapeError
+from heatinfer.shapes import DegenerateShapeError, HeaterShape
 
 TRUTH = HeaterState(0.5, 0.8, 1.0, 0.5, 0.25)
 SENSORS = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
 
 def _clean_obs(state=TRUTH, sensors=SENSORS, sigma=5e-4):
-    vals = observe([(state.shape(), state.q)], sensors)
+    vals = observe(heaters_from(pack([state]), 1), sensors)
     return Observation(vals, sigma)
 
 
@@ -26,7 +26,8 @@ def test_pack_single():
 def test_pack_heaters_from_roundtrip():
     rng = np.random.default_rng(5)
     states = [HeaterState(*rng.uniform(0.1, 1.0, 5)) for _ in range(3)]
-    assert heaters_from(pack(states), 3) == [(s.shape(), s.q) for s in states]
+    assert heaters_from(pack(states), 3) == [(HeaterShape((s.c1, s.c2), (s.x0, s.y0)), s.q)
+                                             for s in states]
 
 
 def test_pack_two_heaters_order():
@@ -129,7 +130,7 @@ def test_likelihood_monotone_in_residual():
 
 def test_strength_area_degeneracy():
     # circles sharing q * c1^2 with exterior sensors are indistinguishable
-    obs = Observation(observe([(HeaterState(0.5, 0.8, 1.0, 0.5, 0.0).shape(), 1.0)],
+    obs = Observation(observe(heaters_from(pack([HeaterState(0.5, 0.8, 1.0, 0.5, 0.0)]), 1),
                               SENSORS), 5e-4)
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
     lls = []
@@ -167,7 +168,7 @@ def test_posterior_perturbed_truth_direct_evaluation():
     spec = StateSpec.create(1)
     x = pack([HeaterState(0.55, 0.8, 1.0, 0.5, 0.25)])
     # direct evaluation of the same definition, independent of the wiring
-    h = observe([(HeaterState(*x).shape(), 1.0)], SENSORS)
+    h = observe(heaters_from(x, 1), SENSORS)
     expect = -0.5 * float(np.sum((obs.values - h) ** 2)) / obs.noise_sigma ** 2
     got = log_posterior(x, obs, SENSORS, spec)
     assert np.isfinite(got) and got < -1.0
@@ -178,8 +179,7 @@ def test_posterior_invariant_under_block_permutation():
     a = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14)
     b = HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
-    obs = Observation(observe([(a.shape(), a.q), (b.shape(), b.q)], sensors),
-                      5e-4)
+    obs = Observation(observe(heaters_from(pack([a, b]), 2), sensors), 5e-4)
     spec = StateSpec.create(2)
     pa = log_posterior(canonicalize(pack([a, b]), spec), obs, sensors, spec)
     pb = log_posterior(canonicalize(pack([b, a]), spec), obs, sensors, spec)
@@ -306,7 +306,7 @@ def test_batched_rows_equal_scalar_scores_on_a_node():
 def test_batched_rows_equal_scalar_scores_two_heaters():
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
     a, b = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14), HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
-    obs = Observation(observe([(a.shape(), a.q), (b.shape(), b.q)], sensors), 5e-4)
+    obs = Observation(observe(heaters_from(pack([a, b]), 2), sensors), 5e-4)
     spec = StateSpec.create(2)
     near = HeaterState(-1.0 / 7.0, 0.21, 2.0, 0.2, 0.0)  # 0.01 above a sensor
     X = np.array([pack([a, b]), pack([a, near]), pack([near, b]),
@@ -318,7 +318,7 @@ def test_batched_rows_equal_scalar_scores_two_heaters():
 def test_wall_mode_ladder_matches_scalar_scores():
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 5), np.zeros(5)]), Wall.ADIABATIC_Y0)
     truth = HeaterState(0.2, 0.35, 1.0, 0.3, 0.0)
-    obs = Observation(observe([(truth.shape(), truth.q)], sensors), 5e-4)
+    obs = Observation(observe(heaters_from(pack([truth]), 1), sensors), 5e-4)
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
     sched = McmcSchedule(phase1_steps=40, phase1_var=4e-3, phase2_steps=160, phase2_var=4e-3,
                          thin=1, seed=5)

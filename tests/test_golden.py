@@ -1,11 +1,15 @@
 """Golden-hash gate: refactors must not change a single output byte.
 
-Runs the twin experiment on both repository configs, and on the
-two-heater config with wall-mounted sensors (the only golden case with
-mirror-image rows), at a short fixed schedule, grids included, and
-compares the sha256 of every file the run writes with values recorded
-from the code before the forward-model and analysis paths were merged
-(the wall case: before the field kernel walked its points in blocks).
+Runs the twin experiment on both repository configs, on the two-heater
+config with wall-mounted sensors (the only golden case with mirror-image
+rows), and on the single-heater config with a six-chain ladder down to
+beta = 5^-5 and an exchange every second sweep (the only golden case
+where 5.0 ** -5 and numpy's power of the same numbers differ in the
+last bit), at a short fixed schedule, grids included, and compares the
+sha256 of every file the run writes with values recorded from the code
+before the forward-model and analysis paths were merged (the wall case:
+before the field kernel walked its points in blocks; the ladder case:
+before the ladder kept one beta per chain in an array).
 The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
 numpy or BLAS build may round differently and must re-record them from a
 known-good commit.
@@ -31,6 +35,14 @@ GOLDEN = {
         "truth_grid.csv": "ee9f2a45a1eda0c98e8144d69b25e6c782abc41f1c784398328172de7b9577b9",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
+    "single_heater_ladder": {
+        "best_grid.csv": "79f8df2f74ebbe1d631f9070d1bfe1a5007ef1f473e7541f7e76ad05ff2209a1",
+        "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+        "report.json": "97d0337820a362bf500e846758a16a7483eb3dd6a720273ffba43a05f4b17674",
+        "samples.csv": "fbadc9b876ecf829b74193f6b5c119a902c78859a24dac34be3e6a1f310c7132",
+        "truth_grid.csv": "ee9f2a45a1eda0c98e8144d69b25e6c782abc41f1c784398328172de7b9577b9",
+        "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
+    },
     "two_heaters": {
         "best_grid.csv": "7578e87d57bb2fc77c1d00808864064d1d25cb967e38053ca12b41d16bfb14ab",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
@@ -49,20 +61,23 @@ GOLDEN = {
     },
 }
 
-# name -> (config file, sensor overrides)
+# name -> (config file, {section: key overrides})
 CASES = {
     "single_heater": ("single_heater", {}),
+    "single_heater_ladder": ("single_heater", {"ladder": {"exponents": [-5, -4, -3, -2, -1, 0]},
+                                               "schedule": {"swap_interval": 2}}),
     "two_heaters": ("two_heaters", {}),
-    "two_heaters_wall": ("two_heaters", {"wall": True}),
+    "two_heaters_wall": ("two_heaters", {"sensors": {"wall": True}}),
 }
 
 
 def _run_hashes(name, out_dir):
-    config, sensors = CASES[name]
+    config, overrides = CASES[name]
     with open(os.path.join(CONFIG_DIR, f"{config}.json")) as fh:
         doc = json.load(fh)
     doc["schedule"] = dict(SCHEDULE)
-    doc["sensors"].update(sensors)
+    for section, values in overrides.items():
+        doc.setdefault(section, {}).update(values)
     run_experiment(parse_config(doc), out_dir=str(out_dir), progress=None)
     hashes = {}
     for fname in sorted(os.listdir(out_dir)):

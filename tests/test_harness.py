@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from heatinfer import cli, harness
+from heatinfer.bayes import heaters_from, pack
 from heatinfer.field import Wall
 from heatinfer.harness import (ConfigError, fit_samples, load_config,
                                parse_config, read_samples, run_experiment,
@@ -108,7 +109,7 @@ def test_synthesize_zero_noise_is_exact():
     config = _tiny_config(noise_sigma=0.0)
     obs = synthesize(config)
     from heatinfer.field import observe
-    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors)
+    clean = observe(heaters_from(pack(config.truth), len(config.truth)), config.sensors)
     np.testing.assert_array_equal(obs.values, clean)
 
 
@@ -122,7 +123,7 @@ def test_synthesize_deterministic():
 def test_synthesize_noise_scale():
     config = _tiny_config()
     from heatinfer.field import observe
-    clean = observe([(s.shape(), s.q) for s in config.truth], config.sensors)
+    clean = observe(heaters_from(pack(config.truth), len(config.truth)), config.sensors)
     resid = []
     for seed in range(4000):
         obs = synthesize(dataclasses.replace(config, seed=seed))

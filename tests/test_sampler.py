@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heatinfer import sampler
 from heatinfer.sampler import (ChainLadder, McmcSchedule, SampleSet, mh_step,
                                propose, run, swap_step)
 
@@ -104,18 +105,18 @@ def test_mh_step_unit_drop_acceptance_rate():
 
 def test_swap_certain_when_levels_match():
     ladder = ChainLadder.create(BOX1, 0, exponents=(-1, 0))
-    ladder.log_posts = [-3.0, -3.0]
-    assert swap_step(ladder, np.random.default_rng(0)) == [True]
+    ladder.log_posts[:] = [-3.0, -3.0]
+    assert swap_step(ladder, np.random.default_rng(0)).tolist() == [True]
 
 
 def test_swap_certain_when_hot_chain_is_better():
     ladder = ChainLadder.create(BOX1, 0, exponents=(-1, 0))
-    ladder.log_posts = [-1.0, -4.0]  # hotter chain holds the better state
-    states0 = [s.copy() for s in ladder.states]
-    assert swap_step(ladder, np.random.default_rng(0)) == [True]
+    ladder.log_posts[:] = [-1.0, -4.0]  # hotter chain holds the better state
+    states0 = ladder.states.copy()
+    assert swap_step(ladder, np.random.default_rng(0)).tolist() == [True]
     np.testing.assert_array_equal(ladder.states[0], states0[1])
     np.testing.assert_array_equal(ladder.states[1], states0[0])
-    assert ladder.log_posts == [-4.0, -1.0]
+    assert ladder.log_posts.tolist() == [-4.0, -1.0]
 
 
 def test_swap_rate_matches_exponent():
@@ -124,10 +125,32 @@ def test_swap_rate_matches_exponent():
     hits, n = 0, 100_000
     ladder = ChainLadder.create(BOX1, 0, exponents=(-1, 0))
     for _ in range(n):
-        ladder.log_posts = [0.0, 1.0]
+        ladder.log_posts[:] = [0.0, 1.0]
         if swap_step(ladder, rng)[0]:
             hits += 1
     assert hits / n == pytest.approx(np.exp(-0.8), rel=0.02)
+
+
+def test_betas_are_the_power_of_each_exponent():
+    # numpy's vectorized power gives 0.00031999999999999997 for 5.0 ** -5
+    ladder = ChainLadder.create(BOX1, 0, exponents=(-5, 0))
+    assert ladder.betas[0] == 5.0 ** -5
+    assert ladder.betas.tolist() == [5.0 ** p for p in ladder.exponents]
+
+
+def test_swap_step_follows_ladder_betas():
+    # with betas (1/2, 1) a one-unit lead of the cold chain swaps when
+    # log(u) < -1/2; the exponents alone would give -4/5
+    ladder = ChainLadder.create(BOX1, 0, exponents=(-1, 0))
+    ladder.betas[:] = [0.5, 1.0]
+    rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+    hits = 0
+    for _ in range(2000):
+        ladder.log_posts[:] = [0.0, 1.0]
+        flag = bool(swap_step(ladder, rng)[0])
+        assert flag == (np.log(expected.random()) < -0.5)
+        hits += flag
+    assert hits / 2000 == pytest.approx(np.exp(-0.5), rel=0.1)
 
 
 def test_run_retained_count_arithmetic():
@@ -136,6 +159,49 @@ def test_run_retained_count_arithmetic():
     ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
     out = run(ladder, rows(_gauss_target([0.0], 1.0)), sched, progress=None)
     assert out.samples.shape == (50, 1)
+
+
+def test_run_keeps_the_cold_state_of_every_thin_th_sweep_after_burn_in(monkeypatch):
+    # the reference records the cold state after every sweep: each sweep's
+    # entry state is the previous sweep's exit state, swaps included
+    target = rows(_gauss_target([0.0, 0.0, 0.0], 1.0))
+    sched = McmcSchedule(phase1_steps=50, phase2_steps=1003, phase1_var=0.1, phase2_var=0.1,
+                         burn_in_fraction=0.3, thin=7, swap_interval=3, seed=21)
+    entries = []
+
+    def recording(ladder, *args):
+        entries.append(ladder.states[-1].copy())
+        return mh_step(ladder, *args)
+
+    monkeypatch.setattr(sampler, "mh_step", recording)
+    ladder = ChainLadder.create(BOX3, sched.seed, exponents=(-2, -1, 0))
+    out = run(ladder, target, sched, progress=None)
+    every_sweep = np.array(entries[1:] + [ladder.states[-1]])
+    burn = int(sched.phase2_steps * sched.burn_in_fraction)
+    expected = every_sweep[sched.phase1_steps + burn::sched.thin]
+    assert burn == 300 and len(expected) == sched.retained_count == 101
+    np.testing.assert_array_equal(out.samples, expected)
+
+
+def test_run_memory_follows_the_retained_draws_not_the_sweeps():
+    import tracemalloc
+
+    def target(X):
+        return -0.5 * np.sum(X * X, axis=1)
+
+    box = np.array([[-1.0, 1.0]] * 5)
+    sched = McmcSchedule(phase1_steps=0, phase2_steps=20_000, phase2_var=0.01, thin=100,
+                         seed=4)
+    ladder = ChainLadder.create(box, sched.seed)
+    assert ladder.n_chains == 5
+    tracemalloc.start()
+    try:
+        out = run(ladder, target, sched, progress=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.samples.shape == (100, 5)
+    assert peak < 1_000_000
 
 
 def test_run_deterministic_reruns():
@@ -278,7 +344,7 @@ def _reference_sweep(ladder, target, var):
         xp = propose(ladder.states[i], var, rng)
         lp = target(xp)
         beta = ladder.base ** ladder.exponents[i]
-        delta = lp - ladder.log_posts[i]
+        delta = lp - float(ladder.log_posts[i])
         accept = bool(delta > 0 or np.log(rng.random()) < beta * delta)
         if accept:
             ladder.states[i] = xp
@@ -296,16 +362,15 @@ def test_sweep_matches_per_chain_reference():
     box = np.array([[-1.0, 1.0]] * 3)
     batched, reference = ChainLadder.create(box, 4), ChainLadder.create(box, 4)
     for ladder in (batched, reference):
-        ladder.log_posts = [target(x) for x in ladder.states]
+        ladder.log_posts[:] = [target(x) for x in ladder.states]
     rejected = 0
     for _ in range(400):
         flags = mh_step(batched, rows(target), 0.05)
         assert flags.tolist() == _reference_sweep(reference, target, 0.05)
         rejected += int(np.sum(~flags))
     assert rejected > 0
-    for a, b in zip(batched.states, reference.states):
-        np.testing.assert_array_equal(a, b)
-    assert batched.log_posts == reference.log_posts
+    np.testing.assert_array_equal(batched.states, reference.states)
+    np.testing.assert_array_equal(batched.log_posts, reference.log_posts)
 
 
 def test_run_scores_each_sweep_in_one_call():
