@@ -1,8 +1,7 @@
 """Bayesian recovery of uniform heat sources from steady temperatures."""
 
-from .bayes import (HeaterState, Observation, StateSpec, canonicalize,
-                    log_likelihood, log_posterior, log_prior,
-                    make_log_posterior, pack)
+from .bayes import (Observation, StateSpec, canonicalize, log_likelihood,
+                    log_posterior, log_prior, make_log_posterior, pack)
 from .field import (FieldGrid, SensorArray, Wall, field_grid,
                     jacobian_multipole, observe, temp_multipole, temperatures)
 from .harness import (ConfigError, ExperimentConfig, RunReport, load_config,
@@ -16,12 +15,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainLadder", "ConfigError", "DegenerateShapeError", "ExperimentConfig",
-    "FieldGrid", "GaussianMixture", "HeaterShape", "HeaterState",
-    "McmcSchedule", "MomentData", "Observation", "PcaReport", "RunReport",
-    "SampleSet", "SensorArray", "StateSpec", "Wall", "best_component",
-    "canonicalize", "curve_moments", "field_grid", "fit_gmm", "gmm_density",
-    "jacobian_multipole", "load_config", "log_likelihood",
-    "log_posterior", "log_prior", "make_log_posterior", "observe", "pack",
-    "parse_config", "pca", "run", "run_experiment", "synthesize",
-    "temp_multipole", "temperatures",
+    "FieldGrid", "GaussianMixture", "HeaterShape", "McmcSchedule", "MomentData",
+    "Observation", "PcaReport", "RunReport", "SampleSet", "SensorArray",
+    "StateSpec", "Wall", "best_component", "canonicalize", "curve_moments",
+    "field_grid", "fit_gmm", "gmm_density", "jacobian_multipole", "load_config",
+    "log_likelihood", "log_posterior", "log_prior", "make_log_posterior",
+    "observe", "pack", "parse_config", "pca", "run", "run_experiment",
+    "synthesize", "temp_multipole", "temperatures",
 ]

@@ -27,20 +27,6 @@ DEFAULT_BLOCK_BOUNDS = ((-2.0, 2.0), (0.0, 2.0), (0.0, 10.0), (0.0, 1.0), (-0.5,
 
 
 @dataclass(frozen=True)
-class HeaterState:
-    """One heater's center, strength, and shape coefficients."""
-
-    x0: float
-    y0: float
-    q: float
-    c1: float
-    c2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.y0, self.q, self.c1, self.c2])
-
-
-@dataclass(frozen=True)
 class Observation:
     """Measured sensor values with i.i.d. noise of std noise_sigma."""
 
@@ -114,8 +100,8 @@ class StateSpec:
 
 
 def pack(states) -> np.ndarray:
-    """Stack heater states into a single vector, blocks in order."""
-    return np.concatenate([s.as_array() for s in states])
+    """Stack heater rows (h, 5) into a single vector, blocks in order."""
+    return np.asarray(states, dtype=float).reshape(-1)
 
 
 def _blocks(X: np.ndarray, n_heaters: int):
@@ -133,20 +119,25 @@ def heaters_from(x: np.ndarray, n_heaters: int):
     return [(HeaterShape(C[0, k], centers[0, k]), q[0, k]) for k in range(n_heaters)]
 
 
-def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
-    """Sort heater blocks by ascending q; ties by x0, then y0.
+def sort_blocks(b: np.ndarray) -> np.ndarray:
+    """Heater blocks b (m, h, 5) of every state sorted by ascending q;
+    ties by x0, then y0, and full ties keep their order."""
+    # a stable sort; lexsort takes its primary key last
+    order = np.lexsort((b[:, :, 1], b[:, :, 0], b[:, :, 2]))
+    return b[np.arange(len(b))[:, None], order]
 
-    x is one state (dim,) or a stack of them (m, dim); each state is
-    sorted on its own. Removes the relabeling symmetry of the posterior.
-    Single-heater states pass through unchanged.
+
+def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
+    """Canonical block order (see sort_blocks) of one state (dim,) or of
+    each state of a stack (m, dim).
+
+    Removes the relabeling symmetry of the posterior. Single-heater
+    states pass through unchanged.
     """
     x = np.asarray(x, dtype=float)
     if spec.n_heaters == 1:
         return x
-    b = x.reshape(-1, spec.n_heaters, BLOCK)
-    # a stable sort; lexsort takes its primary key last
-    order = np.lexsort((b[:, :, 1], b[:, :, 0], b[:, :, 2]))
-    return b[np.arange(len(b))[:, None], order].reshape(x.shape)
+    return sort_blocks(x.reshape(-1, spec.n_heaters, BLOCK)).reshape(x.shape)
 
 
 def _log_prior_rows(X: np.ndarray, spec: StateSpec) -> np.ndarray:

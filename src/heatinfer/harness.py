@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import field as fieldmod, posterior, sampler
-from .bayes import (BLOCK, COMPONENT_NAMES, DEFAULT_BLOCK_BOUNDS, HeaterState,
-                    Observation, StateSpec, canonicalize, heaters_from,
-                    make_log_posterior, pack)
+from .bayes import (BLOCK, COMPONENT_NAMES, DEFAULT_BLOCK_BOUNDS, Observation,
+                    StateSpec, canonicalize, heaters_from, make_log_posterior, pack,
+                    sort_blocks)
 from .field import SensorArray, Wall, field_grid
 from .posterior import PcaReport, best_component, fit_gmm, pca
 from .sampler import ChainLadder, McmcSchedule
@@ -47,7 +47,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    truth: list  # of HeaterState, canonical (ascending q) order
+    truth: np.ndarray  # (h, 5) heater rows in canonical (sort_blocks) order
     spec: StateSpec
     sensors: SensorArray
     noise_sigma: float
@@ -135,21 +135,20 @@ def _get_number(d: dict, key: str, path: str, default=None, positive=False,
     return v
 
 
-def _parse_truth(raw, path="truth"):
+def _parse_truth(raw, path="truth") -> np.ndarray:
+    """Heater rows (h, 5), components in COMPONENT_NAMES order."""
     if not isinstance(raw, list):
         _err(path, "expected a list of heater objects")
-    states = []
+    rows = []
     for i, item in enumerate(raw):
         p = f"{path}[{i}]"
         if not isinstance(item, dict):
             _err(p, "expected an object with x0, y0, q, c1, c2")
-        vals = {}
-        for name in COMPONENT_NAMES:
-            vals[name] = _get_number(item, name, p)
-        if vals["c1"] <= 0:
-            _err(f"{p}.c1", f"must be positive, got {vals['c1']}")
-        states.append(HeaterState(**vals))
-    return states
+        row = [_get_number(item, name, p) for name in COMPONENT_NAMES]
+        if row[3] <= 0:
+            _err(f"{p}.c1", f"must be positive, got {row[3]}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(len(rows), BLOCK)
 
 
 def _parse_sensors(raw, path="sensors"):
@@ -217,14 +216,12 @@ def _parse_estimator(raw, truth, path="estimator"):
         if n_heaters != len(truth):
             _err(f"{path}.known",
                  "known-by-name needs n_heaters equal to the number of truth heaters")
-        truth_vec = pack(truth)
         for name in known_names:
             if name not in COMPONENT_NAMES:
                 _err(f"{path}.known", f"unknown component {name!r} (use {COMPONENT_NAMES})")
             ci = COMPONENT_NAMES.index(name)
             for h in range(n_heaters):
-                idx = BLOCK * h + ci
-                known[idx] = (float(truth_vec[idx]), known_var)
+                known[BLOCK * h + ci] = (float(truth[h, ci]), known_var)
 
     try:
         return StateSpec.create(n_heaters, block, known, half_plane)
@@ -258,9 +255,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if quad_n < 32:
         _err("config.quad_n", f"must be at least 32, got {quad_n}")
 
-    truth = _parse_truth(doc.get("truth", []))
-    # canonical (ascending q) order keeps known-by-name priors aligned
-    truth.sort(key=lambda s: (s.q, s.x0, s.y0))
+    # canonical order keeps known-by-name priors aligned
+    truth = sort_blocks(_parse_truth(doc.get("truth", []))[None])[0]
     sensors = _parse_sensors(doc.get("sensors", {"count": 3}))
     spec = _parse_estimator(doc.get("estimator"), truth)
 
@@ -274,7 +270,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sched = {key: kind(_get_number(sched_raw, key, "schedule", default))
              for key, default, kind in defaults}
     try:
-        schedule = McmcSchedule(**sched, seed=seed)
+        schedule = McmcSchedule(**sched)
     except ValueError as e:
         _err("schedule", str(e))
     if schedule.retained_count < 10 * gmm_k:
@@ -293,7 +289,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     grid = _parse_grid(doc.get("grid"))
 
     # truth must be representable by the estimator when dimensions match
-    if truth and spec.n_heaters == len(truth):
+    if len(truth) and spec.n_heaters == len(truth):
         tv = pack(truth)
         if np.any(tv < spec.bounds[:, 0]) or np.any(tv > spec.bounds[:, 1]):
             _err("truth", "a truth heater lies outside the estimator bounds")
@@ -305,7 +301,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "noise_sigma": noise_sigma,
         "gmm_k": gmm_k,
         "quad_n": quad_n,
-        "truth": [dict(zip(COMPONENT_NAMES, s.as_array().tolist())) for s in truth],
+        "truth": [dict(zip(COMPONENT_NAMES, row)) for row in truth.tolist()],
         "sensors": {
             "points": sensors.points.tolist(),
             "wall": sensors.wall is Wall.ADIABATIC_Y0,
@@ -368,14 +364,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     When out_dir is given, writes samples.csv, report.json, and (if the
     config asks for a grid) truth/best field grids, all through staged().
     """
-    if not config.truth:
+    if not len(config.truth):
         raise ConfigError("truth: no heaters configured, the posterior carries no signal")
     if config.noise_sigma <= 0.0:
         raise ConfigError("noise_sigma: inference requires a positive value")
 
     obs = synthesize(config)
     target = make_log_posterior(obs, config.sensors, config.spec, config.quad_n)
-    ladder = ChainLadder.create(config.spec.bounds, config.schedule.seed,
+    ladder = ChainLadder.create(config.spec.bounds, config.seed,
                                 config.ladder_exponents, config.ladder_base)
     canon = None
     if config.spec.n_heaters > 1:
@@ -446,7 +442,7 @@ def _analyze(config: ExperimentConfig, obs: Observation, target, samples: np.nda
     return RunReport(
         gmm=gmm, best_index=best, pca_of_best=pca(gmm.covariances[best]),
         acceptance_rates=acceptance_rates, swap_rates=swap_rates,
-        truth=pack(config.truth).reshape(len(config.truth), BLOCK),
+        truth=config.truth,
         best_mean=best_mean,
         residuals=obs.values - fitted,
         observation=obs,

@@ -34,7 +34,6 @@ class McmcSchedule:
     burn_in_fraction: float = 0.5
     thin: int = 100
     swap_interval: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         if self.phase1_steps < 0 or self.phase2_steps <= 0:
@@ -105,25 +104,23 @@ class SampleSet:
     swap_rates: np.ndarray  # (n_chains - 1,) per adjacent pair
 
 
-def propose(x: np.ndarray, var: float, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric Gaussian random-walk proposal with diagonal variance var."""
-    if var <= 0.0:
-        raise ValueError("proposal variance must be positive")
-    return x + np.sqrt(var) * rng.standard_normal(len(x))
-
-
 def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
     """One Metropolis sweep: every chain of the ladder updates once.
 
-    Each chain proposes from its own stream, in chain order; the
-    proposals are canonicalized and scored together by one target call.
+    Each chain draws a symmetric Gaussian random-walk step of diagonal
+    variance var from its own stream, in chain order; the proposals are
+    canonicalized and scored together by one target call.
     Chain i then accepts with probability
     min(1, exp(beta_i * (l(x') - l(x)))), where l is the untempered log
     posterior, drawing its uniform from its own stream only when the
     move is not uphill. Cached values are updated on acceptance. Returns
     the acceptance flags (n_chains,).
     """
-    proposals = np.array([propose(x, var, rng) for x, rng in zip(ladder.states, ladder.rngs)])
+    if var <= 0.0:
+        raise ValueError("proposal variance must be positive")
+    dim = ladder.states.shape[1]
+    steps = np.array([rng.standard_normal(dim) for rng in ladder.rngs])
+    proposals = ladder.states + np.sqrt(var) * steps
     if canon is not None:
         proposals = canon(proposals)
     lps = target(proposals)
@@ -201,7 +198,7 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
     _initialize(ladder, target, canon, initial)
     n = ladder.n_chains
     accepted = np.zeros((2, n), dtype=int)
-    swap_acc = np.zeros(max(n - 1, 1), dtype=int)
+    swap_acc = np.zeros(n - 1, dtype=int)
     swap_tries = 0
     burn, thin = int(schedule.phase2_steps * schedule.burn_in_fraction), schedule.thin
     retained = np.empty((schedule.retained_count, ladder.states.shape[1]))
@@ -229,5 +226,4 @@ def run(ladder: ChainLadder, target, schedule: McmcSchedule,
         "phase1": accepted[0] / max(schedule.phase1_steps, 1),
         "phase2": accepted[1] / schedule.phase2_steps,
     }
-    swap_rates = swap_acc / max(swap_tries, 1) if n > 1 else np.zeros(0)
-    return SampleSet(retained, rates, swap_rates)
+    return SampleSet(retained, rates, swap_acc / max(swap_tries, 1))

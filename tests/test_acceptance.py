@@ -231,11 +231,11 @@ def test_criterion_10_sampler_calibration():
 
     bounds = np.array([[-5.0, 5.0]] * 3)
     sched = McmcSchedule(phase1_steps=1000, phase1_var=0.01, phase2_steps=100_000,
-                         phase2_var=0.01, thin=25, seed=2024)
+                         phase2_var=0.01, thin=25)
     def rows(X):
         return np.array([target(x) for x in X])
 
-    sets = [run(ChainLadder.create(bounds, sched.seed), rows, sched, progress=None)
+    sets = [run(ChainLadder.create(bounds, 2024), rows, sched, progress=None)
             for _ in range(2)]
     identical = np.array_equal(sets[0].samples, sets[1].samples)
 

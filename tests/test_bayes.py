@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heatinfer import bayes
-from heatinfer.bayes import (BLOCK, HeaterState, Observation, StateSpec, canonicalize,
+from heatinfer.bayes import (BLOCK, Observation, StateSpec, canonicalize,
                              log_likelihood, log_posterior, log_prior,
                              heaters_from, make_log_posterior, pack)
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall, WallGeometryError,
@@ -10,7 +10,7 @@ from heatinfer.field import (FieldEvaluationError, SensorArray, Wall, WallGeomet
 from heatinfer.sampler import ChainLadder, McmcSchedule, run
 from heatinfer.shapes import DegenerateShapeError, HeaterShape
 
-TRUTH = HeaterState(0.5, 0.8, 1.0, 0.5, 0.25)
+TRUTH = [0.5, 0.8, 1.0, 0.5, 0.25]
 SENSORS = SensorArray([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
 
@@ -25,18 +25,18 @@ def test_pack_single():
 
 def test_pack_heaters_from_roundtrip():
     rng = np.random.default_rng(5)
-    states = [HeaterState(*rng.uniform(0.1, 1.0, 5)) for _ in range(3)]
-    assert heaters_from(pack(states), 3) == [(HeaterShape((s.c1, s.c2), (s.x0, s.y0)), s.q)
-                                             for s in states]
+    states = rng.uniform(0.1, 1.0, (3, 5))
+    assert heaters_from(pack(states), 3) == [(HeaterShape((c1, c2), (x0, y0)), q)
+                                             for x0, y0, q, c1, c2 in states]
 
 
 def test_pack_two_heaters_order():
-    a = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14)
-    b = HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
+    a = [0.5, 0.8, 1.0, 0.28, 0.14]
+    b = [-0.6, 0.6, 2.0, 0.2, 0.0]
     v = pack([a, b])
     assert v.shape == (10,)
-    np.testing.assert_array_equal(v[:5], a.as_array())
-    np.testing.assert_array_equal(v[5:], b.as_array())
+    np.testing.assert_array_equal(v[:5], a)
+    np.testing.assert_array_equal(v[5:], b)
 
 
 def test_heaters_from_length_mismatch():
@@ -46,8 +46,8 @@ def test_heaters_from_length_mismatch():
 
 def test_canonicalize_sorts_by_strength():
     spec = StateSpec.create(2)
-    x = pack([HeaterState(0.1, 0.5, 2.0, 0.3, 0.0),
-              HeaterState(-0.4, 0.9, 1.0, 0.2, 0.1)])
+    x = pack([[0.1, 0.5, 2.0, 0.3, 0.0],
+              [-0.4, 0.9, 1.0, 0.2, 0.1]])
     got = canonicalize(x, spec)
     assert got[2] == 1.0 and got[7] == 2.0
     np.testing.assert_array_equal(np.sort(got.reshape(2, 5), axis=0),
@@ -56,8 +56,8 @@ def test_canonicalize_sorts_by_strength():
 
 def test_canonicalize_idempotent_and_tie_rule():
     spec = StateSpec.create(2)
-    x = pack([HeaterState(0.3, 0.5, 1.0, 0.3, 0.0),
-              HeaterState(-0.3, 0.5, 1.0, 0.3, 0.0)])
+    x = pack([[0.3, 0.5, 1.0, 0.3, 0.0],
+              [-0.3, 0.5, 1.0, 0.3, 0.0]])
     once = canonicalize(x, spec)
     assert once[0] == -0.3  # equal q: lower x0 first
     np.testing.assert_array_equal(canonicalize(once, spec), once)
@@ -70,17 +70,17 @@ def test_log_prior_flat_inside():
 
 def test_log_prior_half_plane():
     spec = StateSpec.create(1)
-    assert log_prior(pack([HeaterState(0.5, -0.1, 1.0, 0.5, 0.0)]), spec) == -np.inf
+    assert log_prior(pack([[0.5, -0.1, 1.0, 0.5, 0.0]]), spec) == -np.inf
 
 
 def test_log_prior_out_of_box():
     spec = StateSpec.create(1)
-    assert log_prior(pack([HeaterState(3.0, 0.8, 1.0, 0.5, 0.0)]), spec) == -np.inf
+    assert log_prior(pack([[3.0, 0.8, 1.0, 0.5, 0.0]]), spec) == -np.inf
 
 
 def test_log_prior_sharp_gaussian():
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
-    x = pack([HeaterState(0.5, 0.8, 1.0, 0.5, 1e-3)])
+    x = pack([[0.5, 0.8, 1.0, 0.5, 1e-3]])
     assert log_prior(x, spec) == pytest.approx(-0.5, rel=1e-12)
 
 
@@ -130,13 +130,13 @@ def test_likelihood_monotone_in_residual():
 
 def test_strength_area_degeneracy():
     # circles sharing q * c1^2 with exterior sensors are indistinguishable
-    obs = Observation(observe(heaters_from(pack([HeaterState(0.5, 0.8, 1.0, 0.5, 0.0)]), 1),
+    obs = Observation(observe(heaters_from(pack([[0.5, 0.8, 1.0, 0.5, 0.0]]), 1),
                               SENSORS), 5e-4)
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
     lls = []
     for q in (0.7, 1.0, 1.8, 3.0):
         c1 = np.sqrt(0.25 / q)
-        x = pack([HeaterState(0.5, 0.8, q, c1, 0.0)])
+        x = pack([[0.5, 0.8, q, c1, 0.0]])
         lls.append(log_likelihood(x, obs, SENSORS, spec))
     assert max(lls) - min(lls) < 1e-6
 
@@ -158,7 +158,7 @@ def test_posterior_short_circuits_forward_model(monkeypatch):
     monkeypatch.setattr(bayes.fieldmod, "temperature_rows", counting)
     obs = _clean_obs()
     spec = StateSpec.create(1)
-    out = log_posterior(pack([HeaterState(5.0, 0.8, 1.0, 0.5, 0.25)]), obs, SENSORS, spec)
+    out = log_posterior(pack([[5.0, 0.8, 1.0, 0.5, 0.25]]), obs, SENSORS, spec)
     assert out == -np.inf
     assert calls["n"] == 0
 
@@ -166,7 +166,7 @@ def test_posterior_short_circuits_forward_model(monkeypatch):
 def test_posterior_perturbed_truth_direct_evaluation():
     obs = _clean_obs()
     spec = StateSpec.create(1)
-    x = pack([HeaterState(0.55, 0.8, 1.0, 0.5, 0.25)])
+    x = pack([[0.55, 0.8, 1.0, 0.5, 0.25]])
     # direct evaluation of the same definition, independent of the wiring
     h = observe(heaters_from(x, 1), SENSORS)
     expect = -0.5 * float(np.sum((obs.values - h) ** 2)) / obs.noise_sigma ** 2
@@ -176,8 +176,8 @@ def test_posterior_perturbed_truth_direct_evaluation():
 
 
 def test_posterior_invariant_under_block_permutation():
-    a = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14)
-    b = HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
+    a = [0.5, 0.8, 1.0, 0.28, 0.14]
+    b = [-0.6, 0.6, 2.0, 0.2, 0.0]
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
     obs = Observation(observe(heaters_from(pack([a, b]), 2), sensors), 5e-4)
     spec = StateSpec.create(2)
@@ -210,7 +210,7 @@ def test_wall_crossing_maps_to_rejection():
     sensors = SensorArray([[-1.0, 0.0], [1.0, 0.0]], wall=bayes.fieldmod.Wall.ADIABATIC_Y0)
     obs = Observation(np.zeros(2), 5e-4)
     spec = StateSpec.create(1)
-    x = pack([HeaterState(0.0, 0.2, 1.0, 0.5, 0.0)])  # dips below the wall
+    x = pack([[0.0, 0.2, 1.0, 0.5, 0.0]])  # dips below the wall
     assert log_likelihood(x, obs, sensors, spec) == -np.inf
 
 
@@ -305,23 +305,23 @@ def test_batched_rows_equal_scalar_scores_on_a_node():
 
 def test_batched_rows_equal_scalar_scores_two_heaters():
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 8), np.zeros(8)]))
-    a, b = HeaterState(0.5, 0.8, 1.0, 0.28, 0.14), HeaterState(-0.6, 0.6, 2.0, 0.2, 0.0)
+    a, b = [0.5, 0.8, 1.0, 0.28, 0.14], [-0.6, 0.6, 2.0, 0.2, 0.0]
     obs = Observation(observe(heaters_from(pack([a, b]), 2), sensors), 5e-4)
     spec = StateSpec.create(2)
-    near = HeaterState(-1.0 / 7.0, 0.21, 2.0, 0.2, 0.0)  # 0.01 above a sensor
+    near = [-1.0 / 7.0, 0.21, 2.0, 0.2, 0.0]  # 0.01 above a sensor
     X = np.array([pack([a, b]), pack([a, near]), pack([near, b]),
-                  pack([a, HeaterState(-0.6, 0.6, 2.0, 0.0, 0.0)]), pack([b, a])])
+                  pack([a, [-0.6, 0.6, 2.0, 0.0, 0.0]]), pack([b, a])])
     got = _assert_rows_score_alone(X, obs, sensors, spec)
     assert np.isfinite(got[[0, 1, 2, 4]]).all() and got[3] == -np.inf
 
 
 def test_wall_mode_ladder_matches_scalar_scores():
     sensors = SensorArray(np.column_stack([np.linspace(-1, 1, 5), np.zeros(5)]), Wall.ADIABATIC_Y0)
-    truth = HeaterState(0.2, 0.35, 1.0, 0.3, 0.0)
+    truth = [0.2, 0.35, 1.0, 0.3, 0.0]
     obs = Observation(observe(heaters_from(pack([truth]), 1), sensors), 5e-4)
     spec = StateSpec.create(1, known={4: (0.0, 1e-6)})
     sched = McmcSchedule(phase1_steps=40, phase1_var=4e-3, phase2_steps=160, phase2_var=4e-3,
-                         thin=1, seed=5)
+                         thin=1)
     geometry_rejects = []
 
     def alone(X):
@@ -330,9 +330,9 @@ def test_wall_mode_ladder_matches_scalar_scores():
                                 for x, s in zip(X, scores))
         return scores
 
-    batched = run(ChainLadder.create(spec.bounds, sched.seed), make_log_posterior(obs, sensors, spec),
+    batched = run(ChainLadder.create(spec.bounds, 5), make_log_posterior(obs, sensors, spec),
                   sched, initial=pack([truth]), progress=None)
-    scalar = run(ChainLadder.create(spec.bounds, sched.seed), alone, sched,
+    scalar = run(ChainLadder.create(spec.bounds, 5), alone, sched,
                  initial=pack([truth]), progress=None)
     np.testing.assert_array_equal(batched.samples, scalar.samples)
     for phase in ("phase1", "phase2"):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heatinfer import cli, harness
-from heatinfer.bayes import heaters_from, pack
+from heatinfer.bayes import COMPONENT_NAMES, canonicalize, heaters_from, pack
 from heatinfer.field import Wall
 from heatinfer.harness import (ConfigError, fit_samples, load_config,
                                parse_config, read_samples, run_experiment,
@@ -71,10 +71,17 @@ def test_config_canonicalizes_truth_order():
         "estimator": {"known": ["c1", "c2"]},
     }
     config = parse_config(doc)
-    assert config.truth[0].q == 1.0 and config.truth[1].q == 2.0
+    assert config.truth[0, 2] == 1.0 and config.truth[1, 2] == 2.0
     # sharp priors follow the sorted order
     assert config.spec.known[3] == (0.28, 1e-6)
     assert config.spec.known[8] == (0.2, 1e-6)
+    # ties on q go by x0, ties on q and x0 by y0: the rule canonicalize applies
+    rows = [[0.3, 0.6, 1.0, 0.2, 0.0], [-0.3, 0.9, 1.0, 0.2, 0.1],
+            [0.1, 0.9, 0.5, 0.2, 0.2], [0.1, 0.4, 0.5, 0.2, 0.3]]
+    config = parse_config({"truth": [dict(zip(COMPONENT_NAMES, r)) for r in rows],
+                           "sensors": {"count": 8}})
+    np.testing.assert_array_equal(config.truth, [rows[3], rows[2], rows[1], rows[0]])
+    np.testing.assert_array_equal(pack(config.truth), canonicalize(pack(rows), config.spec))
 
 
 def test_sensor_line_layout():
@@ -87,7 +94,7 @@ def test_load_config_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(MINIMAL))
     config = load_config(str(path))
-    assert config.truth[0].c1 == 0.5
+    assert config.truth[0, 3] == 0.5
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
@@ -100,7 +107,7 @@ def test_load_config_overrides(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**MINIMAL, "schedule": {"thin": 5}}))
     config = load_config(str(path), seed=7, phase2_steps=2000)
-    assert config.seed == 7 and config.schedule.seed == 7
+    assert config.seed == 7
     assert config.schedule.phase2_steps == 2000 and config.schedule.thin == 5
     assert load_config(str(path)).seed == 0
 
@@ -214,6 +221,16 @@ def test_failed_run_keeps_previous_outputs(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         run_experiment(_tiny_config(grid=grid, seed=425), out_dir=str(tmp_path), progress=None)
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_replaced_seed_seeds_the_ladder_too(tmp_path):
+    # a config whose seed is replaced samples exactly as one parsed with it
+    runs = {"replaced": dataclasses.replace(_tiny_config(), seed=425),
+            "parsed": _tiny_config(seed=425)}
+    for name, config in runs.items():
+        run_experiment(config, out_dir=str(tmp_path / name), progress=None)
+    np.testing.assert_array_equal(read_samples(str(tmp_path / "replaced" / "samples.csv")),
+                                  read_samples(str(tmp_path / "parsed" / "samples.csv")))
 
 
 def test_run_experiment_rejects_empty_truth():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from heatinfer import sampler
-from heatinfer.sampler import (ChainLadder, McmcSchedule, SampleSet, mh_step,
-                               propose, run, swap_step)
+from heatinfer.sampler import ChainLadder, McmcSchedule, SampleSet, mh_step, run, swap_step
 
 BOX1 = np.array([[-10.0, 10.0]])
 BOX3 = np.array([[-10.0, 10.0]] * 3)
@@ -24,29 +23,45 @@ def _gauss_target(mean, sigma):
     return target
 
 
-def test_propose_identity_in_small_variance_limit():
-    rng = np.random.default_rng(0)
+def _flat(X):
+    return np.zeros(len(X))
+
+
+def _flat_ladder(x, rng):
+    """One-chain ladder at x, drawing from rng; on the flat target every
+    proposal is accepted, so the state after a sweep is the proposal."""
+    ladder = ChainLadder.create(np.array([[-10.0, 10.0]] * len(x)), 0, exponents=(0,))
+    ladder.states[0], ladder.log_posts[0], ladder.rngs[0] = x, 0.0, rng
+    return ladder
+
+
+def test_mh_step_proposal_identity_in_small_variance_limit():
     x = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_allclose(propose(x, 1e-300, rng), x, atol=1e-140)
+    ladder = _flat_ladder(x, np.random.default_rng(0))
+    assert mh_step(ladder, _flat, 1e-300)[0]
+    np.testing.assert_allclose(ladder.states[0], x, atol=1e-140)
 
 
-def test_propose_rejects_bad_variance():
+def test_mh_step_rejects_bad_variance():
     with pytest.raises(ValueError):
-        propose(np.zeros(2), 0.0, np.random.default_rng(0))
+        mh_step(_flat_ladder(np.zeros(2), np.random.default_rng(0)), _flat, 0.0)
 
 
-def test_propose_deterministic():
-    x = np.zeros(4)
-    a = propose(x, 1e-4, np.random.default_rng(42))
-    b = propose(x, 1e-4, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
+def test_mh_step_proposal_deterministic():
+    a = _flat_ladder(np.zeros(4), np.random.default_rng(42))
+    b = _flat_ladder(np.zeros(4), np.random.default_rng(42))
+    assert mh_step(a, _flat, 1e-4)[0] and mh_step(b, _flat, 1e-4)[0]
+    np.testing.assert_array_equal(a.states, b.states)
 
 
-def test_propose_variance_statistics():
-    rng = np.random.default_rng(7)
-    x = np.zeros(3)
-    draws = np.array([propose(x, 2.5e-5, rng) for _ in range(100_000)])
-    np.testing.assert_allclose(draws.var(axis=0), 2.5e-5, rtol=0.05)
+def test_mh_step_proposal_variance_statistics():
+    ladder = _flat_ladder(np.zeros(3), np.random.default_rng(7))
+    draws = []
+    for _ in range(100_000):
+        ladder.states[0] = 0.0
+        mh_step(ladder, _flat, 2.5e-5)
+        draws.append(ladder.states[0].copy())
+    np.testing.assert_allclose(np.var(draws, axis=0), 2.5e-5, rtol=0.05)
 
 
 def _ladder_for(target, bounds, seed=0, exponents=(0,)):
@@ -155,8 +170,8 @@ def test_swap_step_follows_ladder_betas():
 
 def test_run_retained_count_arithmetic():
     assert McmcSchedule().retained_count == 2500
-    sched = McmcSchedule(phase1_steps=10, phase2_steps=1000, thin=10, seed=1)
-    ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
+    sched = McmcSchedule(phase1_steps=10, phase2_steps=1000, thin=10)
+    ladder = ChainLadder.create(BOX1, 1, exponents=(0,))
     out = run(ladder, rows(_gauss_target([0.0], 1.0)), sched, progress=None)
     assert out.samples.shape == (50, 1)
 
@@ -166,7 +181,7 @@ def test_run_keeps_the_cold_state_of_every_thin_th_sweep_after_burn_in(monkeypat
     # entry state is the previous sweep's exit state, swaps included
     target = rows(_gauss_target([0.0, 0.0, 0.0], 1.0))
     sched = McmcSchedule(phase1_steps=50, phase2_steps=1003, phase1_var=0.1, phase2_var=0.1,
-                         burn_in_fraction=0.3, thin=7, swap_interval=3, seed=21)
+                         burn_in_fraction=0.3, thin=7, swap_interval=3)
     entries = []
 
     def recording(ladder, *args):
@@ -174,7 +189,7 @@ def test_run_keeps_the_cold_state_of_every_thin_th_sweep_after_burn_in(monkeypat
         return mh_step(ladder, *args)
 
     monkeypatch.setattr(sampler, "mh_step", recording)
-    ladder = ChainLadder.create(BOX3, sched.seed, exponents=(-2, -1, 0))
+    ladder = ChainLadder.create(BOX3, 21, exponents=(-2, -1, 0))
     out = run(ladder, target, sched, progress=None)
     every_sweep = np.array(entries[1:] + [ladder.states[-1]])
     burn = int(sched.phase2_steps * sched.burn_in_fraction)
@@ -190,9 +205,8 @@ def test_run_memory_follows_the_retained_draws_not_the_sweeps():
         return -0.5 * np.sum(X * X, axis=1)
 
     box = np.array([[-1.0, 1.0]] * 5)
-    sched = McmcSchedule(phase1_steps=0, phase2_steps=20_000, phase2_var=0.01, thin=100,
-                         seed=4)
-    ladder = ChainLadder.create(box, sched.seed)
+    sched = McmcSchedule(phase1_steps=0, phase2_steps=20_000, phase2_var=0.01, thin=100)
+    ladder = ChainLadder.create(box, 4)
     assert ladder.n_chains == 5
     tracemalloc.start()
     try:
@@ -207,10 +221,10 @@ def test_run_memory_follows_the_retained_draws_not_the_sweeps():
 def test_run_deterministic_reruns():
     target = _gauss_target([1.0, -1.0, 0.5], 0.5)
     sched = McmcSchedule(phase1_steps=200, phase2_steps=2000, phase1_var=0.05,
-                         phase2_var=0.05, thin=5, seed=77)
+                         phase2_var=0.05, thin=5)
     outs = []
     for _ in range(2):
-        ladder = ChainLadder.create(BOX3, sched.seed)
+        ladder = ChainLadder.create(BOX3, 77)
         outs.append(run(ladder, rows(target), sched, progress=None))
     np.testing.assert_array_equal(outs[0].samples, outs[1].samples)
     np.testing.assert_array_equal(outs[0].swap_rates, outs[1].swap_rates)
@@ -220,15 +234,15 @@ def test_run_deterministic_reruns():
 
     other = run(ChainLadder.create(BOX3, 78), rows(target),
                 McmcSchedule(phase1_steps=200, phase2_steps=2000, phase1_var=0.05,
-                             phase2_var=0.05, thin=5, seed=78), progress=None)
+                             phase2_var=0.05, thin=5), progress=None)
     assert not np.array_equal(outs[0].samples, other.samples)
 
 
 def test_run_caches_stay_coherent():
     target = _gauss_target([0.0, 0.0, 0.0], 1.0)
     sched = McmcSchedule(phase1_steps=100, phase2_steps=500, phase1_var=0.1,
-                         phase2_var=0.1, thin=5, seed=5)
-    ladder = ChainLadder.create(BOX3, sched.seed)
+                         phase2_var=0.1, thin=5)
+    ladder = ChainLadder.create(BOX3, 5)
     run(ladder, rows(target), sched, progress=None)
     for i in range(ladder.n_chains):
         assert ladder.log_posts[i] == pytest.approx(target(ladder.states[i]), abs=1e-12)
@@ -237,12 +251,12 @@ def test_run_caches_stay_coherent():
 def test_run_initial_state_honored():
     target = _gauss_target([0.0], 0.2)
     sched = McmcSchedule(phase1_steps=0, phase2_steps=10, phase2_var=1e-12,
-                         burn_in_fraction=0.0, thin=1, seed=9)
-    ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
+                         burn_in_fraction=0.0, thin=1)
+    ladder = ChainLadder.create(BOX1, 9, exponents=(0,))
     out = run(ladder, rows(target), sched, initial=np.array([0.125]), progress=None)
     np.testing.assert_allclose(out.samples, 0.125, atol=1e-5)
     # out-of-box initial falls back to a uniform draw
-    ladder = ChainLadder.create(BOX1, sched.seed, exponents=(0,))
+    ladder = ChainLadder.create(BOX1, 9, exponents=(0,))
     out = run(ladder, rows(target), sched, initial=np.array([99.0]), progress=None)
     assert np.all(np.abs(out.samples) <= 10.0)
 
@@ -252,8 +266,8 @@ def test_acceptance_rate_decreases_with_variance():
     rates = []
     for var in (0.01, 0.25, 4.0):
         sched = McmcSchedule(phase1_steps=0, phase2_steps=4000, phase2_var=var,
-                             thin=10, seed=21)
-        ladder = ChainLadder.create(BOX3, sched.seed, exponents=(0,))
+                             thin=10)
+        ladder = ChainLadder.create(BOX3, 21, exponents=(0,))
         out = run(ladder, rows(target), sched, initial=np.zeros(3), progress=None)
         rates.append(out.acceptance_rates["phase2"][0])
     assert rates[0] >= rates[1] >= rates[2]
@@ -285,8 +299,8 @@ def test_three_state_stationary_distribution():
         return float(logp[int(v)])
 
     sched = McmcSchedule(phase1_steps=0, phase2_steps=1_000_000, phase2_var=1.0,
-                         burn_in_fraction=0.0, thin=1, seed=31)
-    ladder = ChainLadder.create(np.array([[0.0, 3.0]]), sched.seed, exponents=(0,))
+                         burn_in_fraction=0.0, thin=1)
+    ladder = ChainLadder.create(np.array([[0.0, 3.0]]), 31, exponents=(0,))
     out = run(ladder, rows(target), sched, progress=None)
     occupancy = np.bincount(out.samples[:, 0].astype(int), minlength=3) / len(out.samples)
     np.testing.assert_allclose(occupancy, probs, atol=0.01)
@@ -301,13 +315,13 @@ def test_tempering_crosses_separated_modes():
                                   -0.5 * ((v + 4.0) / 0.1) ** 2))
 
     sched = McmcSchedule(phase1_steps=1000, phase2_steps=20_000, phase1_var=0.09,
-                         phase2_var=0.09, thin=4, seed=11)
-    ladder = ChainLadder.create(BOX1, sched.seed)
+                         phase2_var=0.09, thin=4)
+    ladder = ChainLadder.create(BOX1, 11)
     tempered = run(ladder, rows(target), sched, progress=None).samples[:, 0]
     frac_tempered = np.mean(tempered > 0.0)
     assert 0.1 <= frac_tempered <= 0.9
 
-    single = run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), rows(target),
+    single = run(ChainLadder.create(BOX1, 11, exponents=(0,)), rows(target),
                  sched, progress=None).samples[:, 0]
     frac_single = min(np.mean(single > 0.0), np.mean(single < 0.0))
     assert frac_single < 0.01
@@ -318,13 +332,16 @@ def test_progress_lines_on_given_stream():
 
     target = _gauss_target([0.0], 1.0)
     sched = McmcSchedule(phase1_steps=10_000, phase2_steps=10_000, phase1_var=0.1,
-                         phase2_var=0.1, thin=100, seed=2)
+                         phase2_var=0.1, thin=100)
     stream = io.StringIO()
-    run(ChainLadder.create(BOX1, sched.seed, exponents=(0,)), rows(target), sched,
-        progress=stream)
+    out = run(ChainLadder.create(BOX1, 2, exponents=(0,)), rows(target), sched,
+              progress=stream)
     lines = [ln for ln in stream.getvalue().splitlines() if ln.startswith("[mcmc]")]
     assert len(lines) == 2
     assert "acc=" in lines[0]
+    # one chain has no exchange pair: no swap rates, as in its SampleSet
+    assert all(ln.endswith(" swap=[]") for ln in lines)
+    assert out.swap_rates.tolist() == []
 
 
 def test_sample_set_is_plain_data():
@@ -341,7 +358,8 @@ def _reference_sweep(ladder, target, var):
     """
     flags = []
     for i, rng in enumerate(ladder.rngs):
-        xp = propose(ladder.states[i], var, rng)
+        x = ladder.states[i]
+        xp = x + np.sqrt(var) * rng.standard_normal(len(x))
         lp = target(xp)
         beta = ladder.base ** ladder.exponents[i]
         delta = lp - float(ladder.log_posts[i])
@@ -382,8 +400,8 @@ def test_run_scores_each_sweep_in_one_call():
         return gauss(X)
 
     sched = McmcSchedule(phase1_steps=4, phase2_steps=6, phase1_var=0.1, phase2_var=0.1,
-                         thin=1, seed=3)
-    ladder = ChainLadder.create(BOX3, sched.seed)
+                         thin=1)
+    ladder = ChainLadder.create(BOX3, 3)
     run(ladder, target, sched, progress=None)
     n = ladder.n_chains
     assert shapes[:n] == [(1, 3)] * n  # each chain's starting state, scored on its own
