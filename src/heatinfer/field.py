@@ -4,9 +4,30 @@ The temperature at r due to a heater region of uniform strength q is
 
     T(r) = -(q / 2*pi) * integral over the region of log|r - eta| dA(eta).
 
-The area integral reduces to a boundary integral through the divergence
-identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4, and
-is evaluated by the trapezoidal rule on the Fourier parameterization of
+The boundary is z(w) = center + sum_k c_k w^k on the unit circle |w| = 1.
+Its reach is R = sum_k |c_k|: no boundary point lies further than R from
+the center. For a point p outside the reach, p' = p - center has
+|p'| > R, so p' - z(w) has no zero on the closed unit disk. Pulling the
+area integral back to the disk, where the integral of w^n conj(w)^m is
+pi delta_nm / (n + 1), then gives the exact closed form
+
+    T(p) = -(q / 2) * sum_{d=0}^{J-1} w_d Re g_d,
+    w_d = sum_j j c_j c_{j+d},
+    g_0 = log|p'|,
+    g_n = (sum_{k=1}^{n-1} (n-k) c_k g_{n-k} - n c_n) / (n p').
+
+Each g_n (n >= 1) is a polynomial in 1/p' whose coefficients depend on the
+shape alone, so a row costs one log and J - 1 powers of 1/p' per point.
+For J = 2 this is the exact monopole plus dipole about the center,
+-(q/2) [(c1^2 + 2 c2^2) log|p'| - c1^2 c2 Re(1/p')]. A polynomial map
+counts overlap multiplicity the way the boundary integral counts winding
+number, so self-overlapping shapes (c1 < 2|c2|) agree too.
+
+A heater row whose points all lie outside its reach takes the closed
+form. Every other row, and every row of field_grid, goes through the
+quadrature: the area integral reduces to a boundary integral through the
+divergence identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1)
+/ 4, evaluated by the trapezoidal rule on the Fourier parameterization of
 the boundary. For a closed smooth boundary and an evaluation point off
 the curve the rule converges spectrally, so quad_n = 256 already gives
 near machine accuracy away from the boundary.
@@ -14,13 +35,14 @@ near machine accuracy away from the boundary.
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
 below the wall, making the field even in y and its normal derivative
-zero on the wall.
+zero on the wall. Image rows choose between the closed form and the
+quadrature by the same rule.
 
-Memory: the kernel walks the points in blocks whose (rows, points, nodes)
-work arrays hold at most _BLOCK_ELEMS elements each, so its four work
-arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the number
-of points, unless a single point times the rows times the nodes already
-exceeds the budget. The blocks change no value.
+Memory: the quadrature walks the points in blocks whose (rows, points,
+nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
+work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
+number of points, unless a single point times the rows times the nodes
+already exceeds the budget. The blocks change no value.
 """
 
 import enum
@@ -172,6 +194,76 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     return out
 
 
+def _exterior_terms(C: np.ndarray):
+    """Shape-only coefficients of the closed form for the rows of C (m, J).
+
+    Returns w_0 (m,) and beta_1 .. beta_{J-1}, each (m,), such that
+    sum_d w_d Re g_d = w_0 log|p'| + sum_j beta_j Re (1/p')^j. The g_d
+    (d >= 1) are the Taylor coefficients of log(1 - f(w)/p') with
+    f(w) = sum_k c_k w^k, so g_d = -sum_{j=1}^{d} [w^d] f(w)^j / (j p'^j)
+    and beta_j = -(1/j) sum_{d=j}^{J-1} w_d [w^d] f(w)^j.
+    """
+    J = C.shape[1]
+    c = C.T  # c[k - 1] is c_k
+    kc = c * np.arange(1.0, J + 1.0)[:, None]
+    w = kc[0] * c  # w[d] = sum_j j c_j c_{j+d}, accumulated over j
+    for j in range(1, J):
+        w[:J - j] += kc[j] * c[j:]
+    fj = c[:-1]  # fj[d - 1] = [w^d] f(w)^j for d = 1 .. J-1, from j = 1
+    beta = []
+    for j in range(1, J):
+        bj = w[j] * fj[j - 1]
+        for d in range(j + 1, J):
+            bj += w[d] * fj[d - 1]
+        beta.append(bj / -j)
+        if j + 1 < J:  # multiply by f once more
+            nxt = np.zeros_like(fj)
+            for k in range(1, J - 1):
+                nxt[k:] += c[k - 1] * fj[:J - 1 - k]
+            fj = nxt
+    return w[0], beta
+
+
+def _exterior_rows(C, q, dx, r2) -> np.ndarray:
+    """Closed-form temperatures (m, p) of one heater per row, at points
+    whose offsets p' from the row's center have real part dx and squared
+    length r2, both (m, p), all outside the row's reach."""
+    w0, beta = _exterior_terms(C)
+    # Re (1/p')^j: with s = 1/p', s^(j+1) = 2 Re(s) s^j - |s|^2 s^(j-1)
+    powers = [1.0, dx / r2]
+    for j in range(2, len(beta) + 1):
+        powers.append(2.0 * powers[1] * powers[j - 1] - powers[j - 2] / r2)
+    acc = w0[:, None] * (0.5 * np.log(r2))
+    for j, bj in enumerate(beta, start=1):
+        acc += bj[:, None] * powers[j]
+    return -0.5 * q[:, None] * acc
+
+
+def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+    """Temperatures (m, p) of one heater per row at pts (p, 2).
+
+    Row i is the heater with coefficients C[i] (J,), center centers[i]
+    and strength q[i]. A row whose points all lie strictly outside its
+    reach sum_k |c_k| takes the exact closed form; every other row goes
+    through the _heater_rows quadrature. The choice is made per row, so
+    a row's values do not depend on the other rows.
+    """
+    dx = pts[:, 0] - centers[:, 0:1]
+    dy = pts[:, 1] - centers[:, 1:2]
+    r2 = dx * dx + dy * dy
+    reach = np.abs(C).sum(axis=1)
+    outside = r2 > (reach * reach)[:, None]
+    if np.count_nonzero(outside) == outside.size:
+        return _exterior_rows(C, q, dx, r2)
+    exact = outside.all(axis=1)
+    out = np.empty_like(r2)
+    if exact.any():
+        out[exact] = _exterior_rows(C[exact], q[exact], dx[exact], r2[exact])
+    quad = ~exact
+    out[quad] = _heater_rows(partial(node_rows, C[quad], centers[quad]), q[quad], pts, quad_n)
+    return out
+
+
 def _wall_clearance(nodes) -> np.ndarray:
     """Lowest boundary point (m,) of each row; the wall needs it above y = 0."""
     return nodes(_WALL_CHECK_N)[1].min(axis=1)
@@ -189,10 +281,21 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
     regions superpose additively. With an adiabatic wall every heater
     gains its mirror image below y = 0, and all heater regions must lie
-    strictly in y > 0. Heaters go through temperature_rows' kernel one
-    at a time, and rejections are raised as errors.
+    strictly in y > 0. Heaters and images go through temperature_rows'
+    kernel one at a time: a heater whose reach sum_k |c_k| every point
+    lies outside takes the exact closed form (module docstring), any
+    other goes through the quad_n-node quadrature. Rejections are raised
+    as errors.
     """
     _check_quad_n(quad_n)
+    return _superpose(heaters, points, wall, lambda shape, q, pts: _heater_field(
+        np.array([shape.c]), np.array([shape.center]), np.array([q]), pts, quad_n))
+
+
+def _superpose(heaters, points, wall: Wall, row) -> np.ndarray:
+    """Sum of the one-row results row(shape, q, pts) (1, p) over the heaters
+    and then, with the wall, their images; raises the wall and non-finite
+    rejections."""
     heaters = list(heaters)
     if wall is Wall.ADIABATIC_Y0:
         for shape, _ in heaters:
@@ -204,7 +307,7 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(pts.shape[0])
     for shape, q in heaters:
-        out = out + _heater_rows(_single(shape), np.array([q]), pts, quad_n)[0]
+        out = out + row(shape, q, pts)[0]
     if not np.all(np.isfinite(out)):
         raise FieldEvaluationError("non-finite temperature; point on a quadrature node?")
     return out
@@ -221,15 +324,18 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
 
     Heater k of configuration i has Fourier coefficients C[i, k] (with
     c_1 > 0), center centers[i, k] and strength q[i, k]; C is (m, h, J).
-    Every heater of every configuration is one row of a single kernel
-    call, and row i equals temperatures() of configuration i bit for
-    bit. Rejected configurations come back as non-finite rows: NaN when
-    a heater crosses the wall, otherwise wherever the field is not finite.
+    Every heater (and wall image) of every configuration is one row of a
+    single kernel call. A row whose points all lie outside the heater's
+    reach sum_k |c_k| takes the exact closed form of the module
+    docstring; only a row with some point inside the reach runs the
+    quad_n-node quadrature. The choice is per row, so row i equals
+    temperatures() of configuration i bit for bit. Rejected
+    configurations come back as non-finite rows: NaN when a heater
+    crosses the wall, otherwise wherever the field is not finite.
     """
     _check_quad_n(quad_n)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m, h = q.shape
-    clear = slice(None)
     if wall is Wall.ADIABATIC_Y0:
         low = _wall_clearance(partial(node_rows, C.reshape(m * h, C.shape[2]),
                                       centers.reshape(m * h, 2)))
@@ -239,13 +345,14 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
         centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
         q = np.concatenate([q, q], axis=1)
     rows = q.size
-    each = _heater_rows(partial(node_rows, np.ascontiguousarray(C).reshape(rows, C.shape[2]),
-                                np.ascontiguousarray(centers).reshape(rows, 2)),
-                        q.reshape(rows), pts, quad_n).reshape(q.shape + (pts.shape[0],))
+    each = _heater_field(C.reshape(rows, C.shape[2]), centers.reshape(rows, 2),
+                         q.reshape(rows), pts, quad_n).reshape(q.shape + (pts.shape[0],))
     # heaters add in order, originals before mirror images
     total = np.zeros((q.shape[0], pts.shape[0]))
     for k in range(each.shape[1]):
         total += each[:, k]
+    if wall is Wall.UNBOUNDED:
+        return total
     out = np.full((m, pts.shape[0]), np.nan)
     out[clear] = total
     return out
@@ -320,7 +427,9 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     """Temperatures on a regular grid of cell centers over region.
 
     region is (xmin, xmax, ymin, ymax) and resolution is (nx, ny). In
-    wall mode the region is clipped to y >= 0 before gridding.
+    wall mode the region is clipped to y >= 0 before gridding. Every cell
+    goes through the quadrature: a grid almost always has cells inside a
+    heater's reach, so the closed form would spare it little.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -333,5 +442,7 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
-    vals = temperatures(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall, quad_n)
+    _check_quad_n(quad_n)
+    vals = _superpose(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall,
+                      lambda shape, q, pts: _heater_rows(_single(shape), np.array([q]), pts, quad_n))
     return FieldGrid(vals.reshape(ny, nx), (xmin, xmax, ymin, ymax), wall)

@@ -1,6 +1,8 @@
 import collections
+import os
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from heatinfer import field as fieldmod
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
                              WallGeometryError, field_grid, jacobian_multipole,
                              observe, temp_multipole, temperature_rows, temperatures)
+from heatinfer.harness import load_config
 from heatinfer.shapes import HeaterShape, boundary_nodes, curve_moments, node_rows
 
 from oracles import fan_quadrature_temp, point_source_temp
@@ -346,6 +349,12 @@ def _ladder(y0s, q=(1.0, 2.0)):
 
 
 SENSOR_LINE = np.column_stack([np.linspace(-1, 1, 12), np.zeros(12)])
+# The sensor line plus one point inside the reach of every _ladder heater, so
+# that every row runs the quadrature: (0.57, 0.25) lies inside the reach of the
+# heart at y0 = 0.43, (0.57, 0.98) inside those of the hearts at y0 = 0.8, 0.9
+# and 1.1, and (-0.6, 0.6) is the disk's center. Each lies at least 0.18 from
+# every boundary, beyond two node spacings (0.11 at 64 nodes).
+INSIDE = np.vstack([SENSOR_LINE, [[0.57, 0.25], [0.57, 0.98], [-0.6, 0.6]]])
 
 
 def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
@@ -354,14 +363,23 @@ def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
     # rows stay far
     C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9])
     rows, counts = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, quad_n=64))
+        monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, quad_n=64))
     assert counts[64] == counts[128] == 1
     # a sweep-sized call fits in one block: one coarse and one doubled offset block
     assert counts["offsets"] == 2
     for i in range(len(q)):
         alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])],
-                             SENSOR_LINE, quad_n=64)
+                             INSIDE, quad_n=64)
         assert rows[i].tobytes() == alone.tobytes()
+    # every heater ran the quadrature: the rows are its sums bit for bit
+    each = _quadrature(C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1), INSIDE, 64)
+    each = each.reshape(len(q), 2, -1)
+    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+
+
+def _quadrature(C, centers, q, pts, quad_n):
+    """The boundary-integral rows (m, p) of heaters C (m, J), centers (m, 2), q (m,)."""
+    return fieldmod._heater_rows(partial(node_rows, C, centers), q, pts, quad_n)
 
 
 def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
@@ -375,22 +393,26 @@ def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
 
 
 def test_blocked_wall_rows_are_bit_identical(monkeypatch):
-    # row 1 crosses the wall (NaN row); the others gain mirror-image rows
+    # row 1 crosses the wall (NaN row); the others gain mirror-image rows,
+    # which lie below every point and so take the closed form
     C, centers, q = _ladder([0.43, 0.3, 0.8])
     rows, counts = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64))
+        monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
     assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
     # one wall check on all rows, then one kernel call on the clear ones
     assert counts[256] == 1 and counts[64] == counts[128] == 1
 
 
 def test_blocked_zero_rows(monkeypatch):
+    # no row has a point inside its reach, so zero rows take the closed form
+    # and no block is ever formed
     C, centers, q = _ladder([])
     centers = centers.reshape(0, 2, 2)
-    rows, _ = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, SENSOR_LINE, quad_n=64),
-        budgets=(1,))
-    assert rows.shape == (0, 12)
+    counts = _count_kernel_work(monkeypatch)
+    monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", 1)
+    rows = temperature_rows(C, centers, q, INSIDE, quad_n=64)
+    assert rows.shape == (0, len(INSIDE))
+    assert not counts
 
 
 def test_grid_working_set_is_bounded():
@@ -404,3 +426,116 @@ def test_grid_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# --- closed form outside the reach: exact, and the sweep's fast path ---
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+def _exterior_points(rng, C, center, wall):
+    """Points from just outside the reach sum_k |c_k| out to the far field:
+    the first toward the boundary point at t = 0, which touches the reach
+    when every c_k >= 0, the rest at random angles; in wall mode only those
+    with y >= 0."""
+    reach = np.abs(C).sum()
+    radii = reach * np.array([1.01, 1.01, 1.03, 1.1, 1.5, 3.0, 10.0, 100.0])
+    ang = np.concatenate([[0.0], rng.uniform(0.0, 2.0 * np.pi, len(radii) - 1)])
+    pts = center + radii[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
+    return pts[pts[:, 1] >= 0.0] if wall is Wall.ADIABATIC_Y0 else pts
+
+
+# for each J, the first shape is simple and the rest loop over themselves
+# (their tangents turn 2 to 5 times), except the heart (0.28, 0.14), whose
+# boundary has a cusp
+EXTERIOR_SHAPES = [(0.5, 0.25), (0.28, 0.14), (0.2, 0.3), (0.3, -0.4),
+                   (0.3, 0.1, 0.05), (0.2, -0.15, 0.12), (0.1, 0.2, -0.15),
+                   (0.3, 0.1, 0.05, 0.03, 0.02), (0.2, -0.1, 0.15, -0.05, 0.08),
+                   (0.1, 0.3, -0.2, 0.1, -0.05)]
+
+
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_closed_form_matches_dense_quadrature(monkeypatch, wall):
+    rng = np.random.default_rng(21)
+    for c in EXTERIOR_SHAPES:
+        C = np.array([c])
+        reach = np.abs(C).sum()
+        center = np.array([rng.uniform(-1.0, 1.0), reach + rng.uniform(0.05, 1.0)])
+        q = np.array([rng.uniform(0.2, 3.0)])
+        pts = _exterior_points(rng, C, center, wall)
+        ref = _quadrature(C, center[None], q, pts, 4096)[0]
+        if wall is Wall.ADIABATIC_Y0:
+            ref = ref + _quadrature(C, center[None] * [1.0, -1.0], q, pts, 4096)[0]
+        counts = _count_kernel_work(monkeypatch)
+        got = temperature_rows(C[None], center[None, None], q[None], pts, wall)[0]
+        # no quadrature: only the wall check draws boundary nodes
+        assert dict(counts) == ({256: 1} if wall is Wall.ADIABATIC_Y0 else {})
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), c
+        monkeypatch.undo()
+
+
+def test_closed_form_of_a_circle_is_the_exact_monopole():
+    # the dense quadrature is itself off by up to 7e-10 near a circle
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        C = np.array([[rng.uniform(0.05, 0.8)]])
+        center, q = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 3.0)
+        pts = _exterior_points(rng, C, center, Wall.UNBOUNDED)
+        exact = np.array([point_source_temp(q * np.pi * C[0, 0] ** 2, center, p) for p in pts])
+        got = temperature_rows(C[None], center[None, None], np.array([[q]]), pts)[0]
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("name", ["single_heater", "two_heaters"])
+def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
+    # 2,000 draws across the estimator's prior box, on the config's sensors,
+    # one heater per configuration: no row moves further from the 4,096-node
+    # reference than the 256-node quadrature every row ran before the closed
+    # form. Summed over two heaters, one heater's quadrature error can cancel
+    # part of the other's, so the rows hold one heater each. Both the 256-node
+    # sums and the reference round at a few ulp of max|T| (the 4,096- and
+    # 8,192-node references differ by up to 7 ulp on these rows), which the
+    # comparison allows: 16 ulp of the row's max|T|.
+    config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    pts, bounds = config.sensors.points, config.spec.bounds
+    rng = np.random.default_rng(23)
+    heaters = rng.uniform(bounds[:, 0], bounds[:, 1], (2000, len(bounds))).reshape(-1, 5)
+    C, centers, q = heaters[:, 3:], heaters[:, :2], heaters[:, 2]
+    got = temperature_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
+    ref = _quadrature(C, centers, q, pts, 4096)
+    before = _quadrature(C, centers, q, pts, 256)
+    closed = np.any(got != before, axis=1)
+    assert 0.5 < closed.mean() < 0.9  # both paths are exercised
+    slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1)
+    assert np.all(np.abs(got - ref).max(axis=1) <= np.abs(before - ref).max(axis=1) + slack)
+
+
+def _near_truth(config, rng, m=5):
+    """A sweep-sized stack (C, centers, q) of the truth moved by proposal-sized steps."""
+    X = config.truth[None] + 0.005 * rng.standard_normal((m,) + config.truth.shape)
+    return X[:, :, 3:], X[:, :, :2], X[:, :, 2]
+
+
+@pytest.mark.parametrize("name", ["single_heater", "two_heaters"])
+def test_sweep_near_the_truth_runs_no_quadrature(monkeypatch, name):
+    config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    C, centers, q = _near_truth(config, np.random.default_rng(24))
+    counts = _count_kernel_work(monkeypatch)
+    rows = temperature_rows(C, centers, q, config.sensors.points, config.sensors.wall,
+                            config.quad_n)
+    assert not counts  # no node_rows, boundary_nodes or _offsets call
+    assert np.isfinite(rows).all()
+
+
+def test_row_with_a_sensor_inside_its_reach_runs_the_quadrature(monkeypatch):
+    # the heart at y0 = 0.3 reaches the sensor line (reach 0.42), the one at
+    # y0 = 0.8 does not; each configuration holds one heater
+    C, centers, q = _ladder([0.3, 0.8], q=(1.5,))
+    C, centers = C[:, :1], centers[:, :1]
+    counts = _count_kernel_work(monkeypatch)
+    rows = temperature_rows(C, centers, q, SENSOR_LINE)
+    assert counts[256] == 1 and counts["offsets"] > 0
+    quad = _quadrature(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 256)
+    assert rows[0].tobytes() == quad[0].tobytes()
+    assert rows[1].tobytes() != quad[1].tobytes()
+    np.testing.assert_allclose(rows[1], quad[1], rtol=1e-13)
