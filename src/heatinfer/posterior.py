@@ -52,15 +52,20 @@ class PcaReport:
     max_direction: np.ndarray  # (dim,) unit vector
 
 
-def _log_normal_pdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Multivariate normal log density at rows of x, via Cholesky."""
-    dim = x.shape[1]
-    chol = np.linalg.cholesky(cov)
-    diff = x - mean
-    z = np.linalg.solve(chol, diff.T)
-    maha = np.sum(z * z, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (maha + logdet + dim * np.log(2.0 * np.pi))
+def _log_densities(xt: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                   diff: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Normal log densities (k, n) of the columns of xt (dim, n) under k
+    components, whitened by inverse Cholesky factors one component at a
+    time in the (dim, n) buffers diff and work: no k * dim * n array."""
+    chol = np.linalg.cholesky(covs)
+    inv = np.linalg.inv(chol)
+    out = np.empty((len(means), xt.shape[1]))
+    for j in range(len(means)):
+        np.subtract(xt, means[j][:, None], out=diff)
+        np.matmul(inv[j], diff, out=work)
+        out[j] = np.einsum("dn,dn->n", work, work)
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return -0.5 * (out + (logdet + xt.shape[0] * np.log(2.0 * np.pi))[:, None])
 
 
 def _kmeanspp_seeds(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,9 +87,9 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
             rng: np.random.Generator | None = None) -> GaussianMixture:
     """Fit a K-component mixture to the sample rows by EM.
 
-    Stops when the per-sample log likelihood improves by less than tol
-    or after max_iters iterations. A component that loses all
-    responsibility is reseeded once at the sample the mixture explains
+    Stops when the total log likelihood of all rows (loglik_path) improves
+    by less than tol or after max_iters iterations. A component that loses
+    all responsibility is reseeded once at the sample the mixture explains
     worst, then dropped (weights renormalized) if it empties again.
     """
     samples = np.asarray(samples, dtype=float)
@@ -102,21 +107,20 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     reseeded = np.zeros(k, dtype=bool)
+    xt = np.ascontiguousarray(samples.T)
+    diff, work = np.empty_like(xt), np.empty_like(xt)
 
     logliks = []
     prev = -np.inf
-    it = 0
-    while it < max_iters:
-        it += 1
-        log_resp = np.stack(
-            [np.log(weights[j]) + _log_normal_pdf(samples, means[j], covs[j])
-             for j in range(len(weights))], axis=1)
-        log_norm = _logsumexp(log_resp, axis=1)
+    for _ in range(max_iters):
+        log_resp = _log_densities(xt, means, covs, diff, work)
+        log_resp += np.log(weights)[:, None]
+        log_norm = _logsumexp(log_resp, axis=0)
         loglik = float(np.sum(log_norm))
         logliks.append(loglik)
-        resp = np.exp(log_resp - log_norm[:, None])
+        resp = np.exp(log_resp - log_norm)
 
-        counts = resp.sum(axis=0)
+        counts = resp.sum(axis=1)
         empty = counts < 1e-10
         if np.any(empty):
             drop = []
@@ -125,25 +129,21 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
                     drop.append(j)
                 else:
                     reseeded[j] = True
-                    means[j] = samples[int(np.argmin(log_norm))]
+                    means[j] = xt[:, int(np.argmin(log_norm))]
                     covs[j] = base_cov
                     counts[j] = 1.0
-            if drop:
-                keep = np.setdiff1d(np.arange(len(weights)), drop)
-                weights = weights[keep]
-                means = means[keep]
-                covs = covs[keep]
-                counts = counts[keep]
-                reseeded = reseeded[keep]
+            keep = np.setdiff1d(np.arange(len(weights)), drop)
+            means, covs, counts, reseeded = means[keep], covs[keep], counts[keep], reseeded[keep]
             weights = counts / counts.sum()
             prev = -np.inf  # mixture changed discontinuously
             continue
 
         weights = counts / n
-        means = (resp.T @ samples) / counts[:, None]
+        means = (resp @ samples) / counts[:, None]
         for j in range(len(weights)):
-            diff = samples - means[j]
-            covs[j] = (resp[:, j][:, None] * diff).T @ diff / counts[j]
+            np.subtract(xt, means[j][:, None], out=diff)
+            np.multiply(diff, resp[j], out=work)
+            covs[j] = work @ diff.T / counts[j]
             covs[j] += COV_FLOOR * np.eye(dim)
 
         if loglik - prev < tol:
@@ -162,11 +162,11 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 
 def gmm_density(gmm: GaussianMixture, x) -> float:
     """Mixture density at a point, computed through log-sum-exp."""
-    x = np.asarray(x, dtype=float)[None, :]
-    logs = np.array(
-        [np.log(gmm.weights[j]) + _log_normal_pdf(x, gmm.means[j], gmm.covariances[j])[0]
-         for j in range(gmm.k) if gmm.weights[j] > 0.0])
-    return float(np.exp(_logsumexp(logs[None, :], axis=1)[0]))
+    xt = np.asarray(x, dtype=float)[:, None]
+    keep = gmm.weights > 0.0
+    logs = np.log(gmm.weights[keep]) + _log_densities(
+        xt, gmm.means[keep], gmm.covariances[keep], np.empty_like(xt), np.empty_like(xt))[:, 0]
+    return float(np.exp(_logsumexp(logs, axis=0)))
 
 
 def best_component(gmm: GaussianMixture, target) -> int:

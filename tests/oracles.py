@@ -2,10 +2,14 @@
 
 Everything here is deliberately written from scratch against the
 underlying mathematics (dense polygon sums, area quadrature of the log
-kernel) and avoids the boundary-integral machinery under test.
+kernel) and avoids the boundary-integral machinery under test. The EM
+oracle shares only the mixture fit's k-means++ start, so that both fits
+begin from the same components.
 """
 
 import numpy as np
+
+from heatinfer.posterior import COV_FLOOR, _kmeanspp_seeds
 
 
 def fourier_vertices(c, center, n):
@@ -75,3 +79,69 @@ def point_source_temp(total_heat, center, point):
     """Far-field equivalent of a compact source: -(Q / 2 pi) log r."""
     r = np.hypot(point[0] - center[0], point[1] - center[1])
     return -total_heat / (2.0 * np.pi) * np.log(r)
+
+
+def _log_normal_pdf(x, mean, cov):
+    """Multivariate normal log density at rows of x, by np.linalg.solve on
+    the Cholesky factor."""
+    chol = np.linalg.cholesky(cov)
+    z = np.linalg.solve(chol, (x - mean).T)
+    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+    return -0.5 * (np.sum(z * z, axis=0) + logdet + x.shape[1] * np.log(2.0 * np.pi))
+
+
+def em_mixture(samples, k, max_iters=200, tol=1e-8, rng=None):
+    """Per-component EM with the samples as rows, one np.linalg.solve per
+    component and iteration: the fit that heatinfer.posterior.fit_gmm
+    replaced with whitening by inverse factors.
+
+    Same k-means++ start, reseed-then-drop rule and stop rule; returns
+    (weights, means, covariances, loglik_path).
+    """
+    samples = np.asarray(samples, dtype=float)
+    n, dim = samples.shape
+    rng = rng if rng is not None else np.random.default_rng(0)
+    means = _kmeanspp_seeds(samples, k, rng)
+    base_cov = np.cov(samples.T).reshape(dim, dim) + COV_FLOOR * np.eye(dim)
+    covs = np.repeat(base_cov[None, :, :], k, axis=0)
+    weights = np.full(k, 1.0 / k)
+    reseeded = np.zeros(k, dtype=bool)
+    logliks = []
+    prev = -np.inf
+    for _ in range(max_iters):
+        log_resp = np.stack(
+            [np.log(weights[j]) + _log_normal_pdf(samples, means[j], covs[j])
+             for j in range(len(weights))], axis=1)
+        top = log_resp.max(axis=1)
+        log_norm = np.log(np.exp(log_resp - top[:, None]).sum(axis=1)) + top
+        loglik = float(np.sum(log_norm))
+        logliks.append(loglik)
+        resp = np.exp(log_resp - log_norm[:, None])
+        counts = resp.sum(axis=0)
+        empty = counts < 1e-10
+        if np.any(empty):
+            drop = []
+            for j in np.nonzero(empty)[0]:
+                if reseeded[j]:
+                    drop.append(j)
+                else:
+                    reseeded[j] = True
+                    means[j] = samples[int(np.argmin(log_norm))]
+                    covs[j] = base_cov
+                    counts[j] = 1.0
+            keep = np.setdiff1d(np.arange(len(weights)), drop)
+            weights, means, covs = weights[keep], means[keep], covs[keep]
+            counts, reseeded = counts[keep], reseeded[keep]
+            weights = counts / counts.sum()
+            prev = -np.inf
+            continue
+        weights = counts / n
+        means = (resp.T @ samples) / counts[:, None]
+        for j in range(len(weights)):
+            diff = samples - means[j]
+            covs[j] = (resp[:, j][:, None] * diff).T @ diff / counts[j]
+            covs[j] += COV_FLOOR * np.eye(dim)
+        if loglik - prev < tol:
+            break
+        prev = loglik
+    return weights, means, covs, np.asarray(logliks)

@@ -399,8 +399,48 @@ def test_blocked_wall_rows_are_bit_identical(monkeypatch):
     rows, counts = _assert_blocking_changes_no_byte(
         monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
     assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
-    # one wall check on all rows, then one kernel call on the clear ones
+    # one wall check on the heart of row 1, the only heater whose reach
+    # (0.42) touches the wall, then one kernel call on the clear rows
     assert counts[256] == 1 and counts[64] == counts[128] == 1
+
+
+def _with_images(C, centers, q):
+    """The stack (C, centers, q) with each configuration's wall images appended."""
+    return (np.concatenate([C, C], axis=1),
+            np.concatenate([centers, centers * [1.0, -1.0]], axis=1),
+            np.concatenate([q, q], axis=1))
+
+
+def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
+    # every heater's center lies above its reach: no boundary node is drawn,
+    # and the rows are the unbounded rows of the stack with its images
+    C, centers, q = _ladder([0.43, 0.8, 1.1])
+    counts = _count_kernel_work(monkeypatch)
+    rows = temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
+    alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[0], centers[0], q[0])],
+                         SENSOR_LINE, Wall.ADIABATIC_Y0)
+    assert not counts
+    assert rows.tobytes() == temperature_rows(*_with_images(C, centers, q), SENSOR_LINE).tobytes()
+    assert alone.tobytes() == rows[0].tobytes()
+    # the heart at y0 = 0.4 lies within its reach (0.42) of the wall yet
+    # clears it (lowest point 0.036), the one at 0.3 crosses it: both get
+    # the node check, and only they
+    monkeypatch.undo()
+    C, centers, q = _ladder([0.4, 0.3, 0.8])
+    checked = []
+    real = fieldmod.node_rows
+
+    def recorded(C, ctr, n):
+        if n == 256:
+            checked.append(ctr.copy())
+        return real(C, ctr, n)
+    monkeypatch.setattr(fieldmod, "node_rows", recorded)
+    rows = temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64)
+    assert len(checked) == 1 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
+    assert np.isnan(rows[1]).all()
+    clear = temperature_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE,
+                             quad_n=64)
+    assert rows[[0, 2]].tobytes() == clear.tobytes()
 
 
 def test_blocked_zero_rows(monkeypatch):
@@ -468,8 +508,8 @@ def test_closed_form_matches_dense_quadrature(monkeypatch, wall):
             ref = ref + _quadrature(C, center[None] * [1.0, -1.0], q, pts, 4096)[0]
         counts = _count_kernel_work(monkeypatch)
         got = temperature_rows(C[None], center[None, None], q[None], pts, wall)[0]
-        # no quadrature: only the wall check draws boundary nodes
-        assert dict(counts) == ({256: 1} if wall is Wall.ADIABATIC_Y0 else {})
+        # no quadrature, and no wall check: the center lies above the reach
+        assert not counts
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), c
         monkeypatch.undo()
 
