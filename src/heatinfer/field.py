@@ -51,7 +51,8 @@ from functools import partial
 
 import numpy as np
 
-from .shapes import HeaterShape, boundary_nodes, curve_moments, node_rows
+from . import shapes
+from .shapes import HeaterShape, curve_moments, node_rows
 
 
 class WallGeometryError(ValueError):
@@ -280,9 +281,53 @@ def _wall_clearance(C, centers) -> np.ndarray:
     return low
 
 
-def _check_quad_n(quad_n: int) -> None:
+def _rows(C, centers, q, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
+    """temperature_rows, with kernel(C, centers, q, pts, quad_n) giving the
+    field (rows, p) of one heater per row for all heaters and images."""
     if quad_n < 32:
         raise ValueError(f"quad_n must be at least 32, got {quad_n}")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    m, h = q.shape
+    if wall is Wall.ADIABATIC_Y0:
+        low = _wall_clearance(C.reshape(m * h, C.shape[2]), centers.reshape(m * h, 2))
+        clear = np.all(low.reshape(m, h) > 0.0, axis=1)
+        C, centers, q = C[clear], centers[clear], q[clear]
+        C = np.concatenate([C, C], axis=1)
+        centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
+        q = np.concatenate([q, q], axis=1)
+    rows = q.size
+    each = kernel(C.reshape(rows, C.shape[2]), centers.reshape(rows, 2), q.reshape(rows),
+                  pts, quad_n).reshape(q.shape + (pts.shape[0],))
+    # heaters add in order, originals before mirror images
+    total = np.zeros((q.shape[0], pts.shape[0]))
+    for k in range(each.shape[1]):
+        total += each[:, k]
+    if wall is Wall.UNBOUNDED:
+        return total
+    out = np.full((m, pts.shape[0]), np.nan)
+    out[clear] = total
+    return out
+
+
+def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
+    """The (p,) row of _rows for one configuration of (HeaterShape, q) pairs,
+    zero-padding shorter coefficient lists; a rejected row raises."""
+    heaters = list(heaters)
+    C = np.zeros((1, len(heaters), max((len(s.c) for s, _ in heaters), default=1)))
+    for k, (shape, _) in enumerate(heaters):
+        C[0, k, :len(shape.c)] = shape.c
+    centers = np.array([s.center for s, _ in heaters], dtype=float).reshape(1, -1, 2)
+    q = np.array([[v for _, v in heaters]], dtype=float)
+    out = _rows(C, centers, q, points, wall, quad_n, kernel)[0]
+    if np.all(np.isfinite(out)):
+        return out
+    if wall is Wall.ADIABATIC_Y0:
+        low = _wall_clearance(C[0], centers[0])
+        k = np.argmax(low <= 0.0)  # the first heater that crosses, if any
+        if low[k] <= 0.0:
+            raise WallGeometryError(f"heater at {heaters[k][0].center} crosses the wall "
+                                    f"y = 0 (min y = {low[k]:.4g})")
+    raise FieldEvaluationError("non-finite temperature; point on a quadrature node?")
 
 
 def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
@@ -290,43 +335,12 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     """Superposed heater temperatures at points (m, 2), relative to T_ref = 0.
 
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
-    regions superpose additively. With an adiabatic wall every heater
-    gains its mirror image below y = 0, and all heater regions must lie
-    strictly in y > 0. Heaters and images go through temperature_rows'
-    kernel one at a time: a heater whose reach sum_k |c_k| every point
-    lies outside takes the exact closed form (module docstring), any
-    other goes through the quad_n-node quadrature. Rejections are raised
-    as errors.
+    regions superpose additively. This is temperature_rows' row for the
+    one configuration, bit for bit. With an adiabatic wall all heater
+    regions must lie strictly in y > 0: a heater crossing the wall raises
+    WallGeometryError, a non-finite temperature FieldEvaluationError.
     """
-    _check_quad_n(quad_n)
-    return _superpose(heaters, points, wall, lambda shape, q, pts: _heater_field(
-        np.array([shape.c]), np.array([shape.center]), np.array([q]), pts, quad_n))
-
-
-def _superpose(heaters, points, wall: Wall, row) -> np.ndarray:
-    """Sum of the one-row results row(shape, q, pts) (1, p) over the heaters
-    and then, with the wall, their images; raises the wall and non-finite
-    rejections."""
-    heaters = list(heaters)
-    if wall is Wall.ADIABATIC_Y0:
-        for shape, _ in heaters:
-            low = _wall_clearance(np.array([shape.c]), np.array([shape.center]))[0]
-            if low <= 0.0:
-                raise WallGeometryError(
-                    f"heater at {shape.center} crosses the wall y = 0 (min y = {low:.4g})")
-        heaters += [(shape.mirrored(), q) for shape, q in heaters]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0])
-    for shape, q in heaters:
-        out = out + row(shape, q, pts)[0]
-    if not np.all(np.isfinite(out)):
-        raise FieldEvaluationError("non-finite temperature; point on a quadrature node?")
-    return out
-
-
-def _single(shape: HeaterShape):
-    """Node source for one shape, as a one-row batch."""
-    return lambda n: tuple(a[None] for a in boundary_nodes(shape, n))
+    return _configuration(heaters, points, wall, quad_n, _heater_field)
 
 
 def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
@@ -339,33 +353,12 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     single kernel call. A row whose points all lie outside the heater's
     reach sum_k |c_k| takes the exact closed form of the module
     docstring; only a row with some point inside the reach runs the
-    quad_n-node quadrature. The choice is per row, so row i equals
-    temperatures() of configuration i bit for bit. Rejected
-    configurations come back as non-finite rows: NaN when a heater
-    crosses the wall, otherwise wherever the field is not finite.
+    quad_n-node quadrature. The choice is per row, so a configuration's
+    row does not depend on the others. Rejected configurations come back
+    as non-finite rows: NaN when a heater crosses the wall, otherwise
+    wherever the field is not finite.
     """
-    _check_quad_n(quad_n)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, h = q.shape
-    if wall is Wall.ADIABATIC_Y0:
-        low = _wall_clearance(C.reshape(m * h, C.shape[2]), centers.reshape(m * h, 2))
-        clear = np.all(low.reshape(m, h) > 0.0, axis=1)
-        C, centers, q = C[clear], centers[clear], q[clear]
-        C = np.concatenate([C, C], axis=1)
-        centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
-        q = np.concatenate([q, q], axis=1)
-    rows = q.size
-    each = _heater_field(C.reshape(rows, C.shape[2]), centers.reshape(rows, 2),
-                         q.reshape(rows), pts, quad_n).reshape(q.shape + (pts.shape[0],))
-    # heaters add in order, originals before mirror images
-    total = np.zeros((q.shape[0], pts.shape[0]))
-    for k in range(each.shape[1]):
-        total += each[:, k]
-    if wall is Wall.UNBOUNDED:
-        return total
-    out = np.full((m, pts.shape[0]), np.nan)
-    out[clear] = total
-    return out
+    return _rows(C, centers, q, points, wall, quad_n, _heater_field)
 
 
 def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> np.ndarray:
@@ -437,8 +430,9 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     """Temperatures on a regular grid of cell centers over region.
 
     region is (xmin, xmax, ymin, ymax) and resolution is (nx, ny). In
-    wall mode the region is clipped to y >= 0 before gridding. Every cell
-    goes through the quadrature: a grid almost always has cells inside a
+    wall mode the region is clipped to y >= 0 before gridding. The cells go
+    through the driver of temperatures, with the quadrature on nodes from
+    boundary_nodes for every cell: a grid almost always has cells inside a
     heater's reach, so the closed form would spare it little.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in region)
@@ -452,7 +446,17 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
-    _check_quad_n(quad_n)
-    vals = _superpose(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall,
-                      lambda shape, q, pts: _heater_rows(_single(shape), np.array([q]), pts, quad_n))
+    vals = _configuration(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall, quad_n,
+                          _grid_rows)
     return FieldGrid(vals.reshape(ny, nx), (xmin, xmax, ymin, ymax), wall)
+
+
+def boundary_nodes(rows, n: int):
+    """The grid's node source: node_rows(C, centers, n) of rows = (C, centers)."""
+    # through shapes, so a wrapper on this module's node_rows sees only point-set calls
+    return shapes.node_rows(*rows, n)
+
+
+def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+    """The quadrature (m, p) of one heater per row at every point."""
+    return _heater_rows(partial(boundary_nodes, (C, centers)), q, pts, quad_n)

@@ -107,31 +107,40 @@ def _err(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _number(v, path: str):
-    """v itself, if it is a finite JSON number."""
+def _number(v, path: str, integer=False):
+    """v, if it is a finite JSON number; with integer, v as an int if it is whole."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         _err(path, f"expected a number, got {v!r}")
     if not abs(v) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
         _err(path, f"must be a finite double, got {v}")
-    return v
+    if integer and v != int(v):
+        _err(path, f"expected an integer, got {v}")
+    return int(v) if integer else v
 
 
-def _numbers(v, path: str, length: int | None = None) -> list:
-    """v itself, if it is a non-empty list of finite numbers of the given length."""
+def _numbers(v, path: str, length: int | None = None, integer=False) -> list:
+    """v's elements through _number, if v is a non-empty list of the given length."""
     if not isinstance(v, list) or not v or (length is not None and len(v) != length):
         _err(path, f"expected a list of {length or 'one or more'} numbers, got {v!r}")
-    return [_number(e, f"{path}[{i}]") for i, e in enumerate(v)]
+    return [_number(e, f"{path}[{i}]", integer) for i, e in enumerate(v)]
 
 
 def _get_number(d: dict, key: str, path: str, default=None, positive=False,
-                nonnegative=False):
+                nonnegative=False, integer=False):
     if key not in d and default is None:
         _err(f"{path}.{key}", "required value missing")
-    v = _number(d.get(key, default), f"{path}.{key}")
+    v = _number(d.get(key, default), f"{path}.{key}", integer)
     if positive and v <= 0:
         _err(f"{path}.{key}", f"must be positive, got {v}")
     if nonnegative and v < 0:
         _err(f"{path}.{key}", f"must be non-negative, got {v}")
+    return v
+
+
+def _get_flag(d: dict, key: str, path: str, default: bool) -> bool:
+    v = d.get(key, default)
+    if not isinstance(v, bool):
+        _err(f"{path}.{key}", f"expected true or false, got {v!r}")
     return v
 
 
@@ -154,7 +163,7 @@ def _parse_truth(raw, path="truth") -> np.ndarray:
 def _parse_sensors(raw, path="sensors"):
     if not isinstance(raw, dict):
         _err(path, "expected an object")
-    wall = Wall.ADIABATIC_Y0 if raw.get("wall", False) else Wall.UNBOUNDED
+    wall = Wall.ADIABATIC_Y0 if _get_flag(raw, "wall", path, False) else Wall.UNBOUNDED
     if "points" in raw:
         pts = raw["points"]
         if not isinstance(pts, list) or not pts:
@@ -162,7 +171,7 @@ def _parse_sensors(raw, path="sensors"):
         arr = np.asarray([_numbers(p, f"{path}.points[{i}]", 2) for i, p in enumerate(pts)],
                          dtype=float)
     else:
-        count = int(_get_number(raw, "count", path, positive=True))
+        count = _get_number(raw, "count", path, positive=True, integer=True)
         rng = _numbers(raw.get("range", [-1.0, 1.0]), f"{path}.range", 2)
         if not rng[0] < rng[1]:
             _err(f"{path}.range", f"expected [lo, hi] with lo < hi, got {rng!r}")
@@ -190,10 +199,10 @@ def _parse_estimator(raw, truth, path="estimator"):
     raw = raw or {}
     if not isinstance(raw, dict):
         _err(path, "expected an object")
-    n_heaters = int(_get_number(raw, "n_heaters", path, default=len(truth)))
+    n_heaters = _get_number(raw, "n_heaters", path, default=len(truth), integer=True)
     if n_heaters < 1:
         _err(f"{path}.n_heaters", "must be >= 1")
-    half_plane = bool(raw.get("half_plane", True))
+    half_plane = _get_flag(raw, "half_plane", path, True)
 
     block = [list(b) for b in DEFAULT_BLOCK_BOUNDS]
     overrides = raw.get("bounds", {})
@@ -235,23 +244,23 @@ def _parse_grid(raw, path="grid"):
     if not isinstance(raw, dict):
         _err(path, "expected an object")
     region = _numbers(raw.get("region"), f"{path}.region", 4)
-    res = _numbers(raw.get("resolution"), f"{path}.resolution", 2)
+    res = _numbers(raw.get("resolution"), f"{path}.resolution", 2, integer=True)
     if not (region[0] < region[1] and region[2] < region[3]):
         _err(f"{path}.region", f"empty region {region!r}")
-    if int(res[0]) < 2 or int(res[1]) < 2:
+    if res[0] < 2 or res[1] < 2:
         _err(f"{path}.resolution", "must be at least 2 in each direction")
-    return GridSpec(tuple(float(v) for v in region), (int(res[0]), int(res[1])))
+    return GridSpec(tuple(float(v) for v in region), tuple(res))
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config object and apply defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object")
-    seed = int(_get_number(doc, "seed", "config", default=0, nonnegative=True))
+    seed = _get_number(doc, "seed", "config", default=0, nonnegative=True, integer=True)
     noise_sigma = float(_get_number(doc, "noise_sigma", "config", default=5e-4,
                                     nonnegative=True))
-    gmm_k = int(_get_number(doc, "gmm_k", "config", default=5, positive=True))
-    quad_n = int(_get_number(doc, "quad_n", "config", default=256))
+    gmm_k = _get_number(doc, "gmm_k", "config", default=5, positive=True, integer=True)
+    quad_n = _get_number(doc, "quad_n", "config", default=256, integer=True)
     if quad_n < 32:
         _err("config.quad_n", f"must be at least 32, got {quad_n}")
 
@@ -267,7 +276,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 ("phase2_steps", DESK_PHASE2_STEPS, int), ("phase2_var", 2.5e-5, float),
                 ("burn_in_fraction", 0.5, float), ("thin", DESK_THIN, int),
                 ("swap_interval", 10, int))
-    sched = {key: kind(_get_number(sched_raw, key, "schedule", default))
+    sched = {key: kind(_get_number(sched_raw, key, "schedule", default, integer=kind is int))
              for key, default, kind in defaults}
     try:
         schedule = McmcSchedule(**sched)
@@ -280,8 +289,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ladder_raw = doc.get("ladder", {})
     if not isinstance(ladder_raw, dict):
         _err("ladder", "expected an object")
-    exponents = _numbers(ladder_raw.get("exponents", [-4, -3, -2, -1, 0]), "ladder.exponents")
-    exponents = tuple(int(p) for p in exponents)
+    exponents = tuple(_numbers(ladder_raw.get("exponents", [-4, -3, -2, -1, 0]),
+                               "ladder.exponents", integer=True))
     base = float(_get_number(ladder_raw, "base", "ladder", default=5.0, positive=True))
     if exponents[-1] != 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
         _err("ladder.exponents", "must be strictly increasing and end at 0")

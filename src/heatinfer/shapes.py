@@ -43,15 +43,6 @@ class HeaterShape:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "center", center)
 
-    def mirrored(self) -> "HeaterShape":
-        """Reflection across the line y = 0.
-
-        A real-coefficient boundary is symmetric about the horizontal
-        axis through its own center, so the mirror image is the same
-        shape translated to (x0, -y0).
-        """
-        return HeaterShape(self.c, (self.center[0], -self.center[1]))
-
 
 @dataclass(frozen=True)
 class MomentData:
@@ -104,12 +95,6 @@ def node_rows(C: np.ndarray, centers: np.ndarray, n: int):
     dx = -(st @ kc)[:, :, 0]
     dy = (ct @ kc)[:, :, 0]
     return x, y, dx, dy
-
-
-def boundary_nodes(shape: HeaterShape, n: int):
-    """node_rows for a single shape: (x, y, dx, dy) arrays of length n."""
-    x, y, dx, dy = node_rows(np.array([shape.c]), np.array([shape.center]), n)
-    return x[0], y[0], dx[0], dy[0]
 
 
 def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:

@@ -12,7 +12,7 @@ from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
                              WallGeometryError, field_grid, jacobian_multipole,
                              observe, temp_multipole, temperature_rows, temperatures)
 from heatinfer.harness import load_config
-from heatinfer.shapes import HeaterShape, boundary_nodes, curve_moments, node_rows
+from heatinfer.shapes import HeaterShape, curve_moments, node_rows
 
 from oracles import fan_quadrature_temp, point_source_temp
 
@@ -76,6 +76,9 @@ def test_superposition_over_heaters():
     both = observe([h1, h2], sensors)
     single = observe([h1], sensors) + observe([h2], sensors)
     np.testing.assert_allclose(both, single, rtol=1e-12)
+    # the one-coefficient heater is padded with c2 = 0, which changes no byte
+    padded = (HeaterShape((0.2, 0.0), (0.7, 1.0)), 2.0)
+    assert both.tobytes() == observe([h1, padded], sensors).tobytes()
 
 
 def test_observe_zero_heaters():
@@ -118,7 +121,7 @@ def test_wall_disk_value():
 
 def test_wall_field_even_in_y():
     heater = (HeaterShape((0.3, 0.1), (0.4, 0.9)), 1.5)
-    mirrored = [(heater[0], heater[1]), (heater[0].mirrored(), heater[1])]
+    mirrored = [(heater[0], heater[1]), (HeaterShape(heater[0].c, (0.4, -0.9)), heater[1])]
     for x, dy in ((0.1, 0.25), (-0.8, 0.6), (1.4, 0.05)):
         above = temperatures(mirrored, [(x, dy)])[0]
         below = temperatures(mirrored, [(x, -dy)])[0]
@@ -130,7 +133,7 @@ def test_wall_normal_derivative_vanishes():
     d = 1e-5
     up = temperatures([heater], [(0.3, d)], Wall.ADIABATIC_Y0)[0]
     # central difference across the wall via the even extension
-    mirrored = [(heater[0], heater[1]), (heater[0].mirrored(), heater[1])]
+    mirrored = [(heater[0], heater[1]), (HeaterShape(heater[0].c, (0.2, -0.7)), heater[1])]
     down = temperatures(mirrored, [(0.3, -d)])[0]
     assert (up - down) / (2 * d) == pytest.approx(0.0, abs=1e-9)
 
@@ -139,6 +142,13 @@ def test_wall_rejects_crossing_heater():
     low = (HeaterShape((0.5, 0.0), (0.0, 0.3)), 1.0)
     with pytest.raises(WallGeometryError):
         temperatures([low], [(0.0, 0.0)], Wall.ADIABATIC_Y0)
+    # only the second heater crosses: both entry points name it
+    high = (HeaterShape((0.2, 0.0), (0.5, 0.8)), 1.0)
+    low = (HeaterShape((0.5, 0.0), (-0.4, 0.3)), 1.0)
+    with pytest.raises(WallGeometryError, match=r"heater at \(-0\.4, 0\.3\)"):
+        temperatures([high, low], [(0.0, 0.0)], Wall.ADIABATIC_Y0)
+    with pytest.raises(WallGeometryError, match=r"heater at \(-0\.4, 0\.3\)"):
+        field_grid([high, low], (-1, 1, 0, 1), (4, 4), Wall.ADIABATIC_Y0)
 
 
 def test_sensor_array_validation():
@@ -151,8 +161,8 @@ def test_sensor_array_validation():
 
 
 def test_point_on_quadrature_node_is_finite():
-    x, y, _, _ = boundary_nodes(HEART, 512)
-    val = temperatures([(HEART, 1.0)], [(x[8], y[8])])[0]
+    x, y, _, _ = node_rows(np.array([HEART.c]), np.array([HEART.center]), 512)
+    val = temperatures([(HEART, 1.0)], [(x[0, 8], y[0, 8])])[0]
     assert np.isfinite(val)
 
 
@@ -332,10 +342,10 @@ def test_blocked_grid_next_to_a_heater_is_bit_identical(monkeypatch, wall):
     heaters = [(HEART, 1.0), (HeaterShape((0.2, 0.0), (-0.6, 0.6)), 2.0)]
     grid, counts = _assert_blocking_changes_no_byte(
         monkeypatch, lambda: field_grid(heaters, (-1, 1, -0.5, 1.5), (14, 11), wall, 64).values)
-    images = 2 if wall is Wall.ADIABATIC_Y0 else 1
-    # one coarse node set per heater and image; cells next to both heaters
-    # double theirs, while the images sit below every cell
-    assert counts[64] == 2 * images and counts[128] == 2
+    # one coarse node set for all heaters and images, and one doubled set:
+    # cells next to both heaters double theirs, while the images sit below
+    # every cell
+    assert counts[64] == counts[128] == 1
     assert np.isfinite(grid).all()
 
 

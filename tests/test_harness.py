@@ -345,6 +345,13 @@ BAD_CONFIGS = {
     "nan_known_var": ({**MINIMAL, "estimator": {"known": ["c1"], "known_var": float("nan")}},
                       [], "estimator.known_var"),
     "infinite_noise": ({**MINIMAL, "noise_sigma": float("inf")}, [], "config.noise_sigma"),
+    "string_wall": ({**MINIMAL, "sensors": {"count": 3, "wall": "false"}}, [], "sensors.wall"),
+    "string_half_plane": ({**MINIMAL, "estimator": {"half_plane": "no"}}, [],
+                          "estimator.half_plane"),
+    "fractional_thin": ({**MINIMAL, "schedule": {"thin": 2.5}}, [], "schedule.thin"),
+    "fractional_gmm_k": ({**MINIMAL, "gmm_k": 2.7}, [], "config.gmm_k"),
+    "fractional_exponent": ({**MINIMAL, "ladder": {"exponents": [-4.5, -1.2, 0]}}, [],
+                            r"ladder.exponents\[0\]"),
 }
 
 

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from heatinfer.shapes import (DegenerateShapeError, HeaterShape, boundary_nodes,
-                              curve_moments)
+from heatinfer.shapes import DegenerateShapeError, HeaterShape, curve_moments, node_rows
 
 from oracles import shoelace_moments
 
 
 def _vertices(shape, n):
-    x, y, _, _ = boundary_nodes(shape, n)
-    return np.column_stack([x, y])
+    x, y, _, _ = node_rows(np.array([shape.c]), np.array([shape.center]), n)
+    return np.column_stack([x[0], y[0]])
 
 
 def test_shape_validation():
