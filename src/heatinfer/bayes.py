@@ -79,7 +79,9 @@ class StateSpec:
         floor[3::BLOCK] = 0.0
         if self.half_plane:
             floor[1::BLOCK] = 0.0
-        object.__setattr__(self, "_floor", floor)
+        # x <= floor is x < nextafter(floor, inf): the support is lo <= x <= hi
+        object.__setattr__(self, "_lo", np.fmax(b[:, 0], np.nextafter(floor, np.inf)))
+        object.__setattr__(self, "_hi", b[:, 1].copy())
         idx = np.array(sorted(self.known), dtype=int)
         object.__setattr__(self, "_known_idx", idx)
         object.__setattr__(self, "_known_mean",
@@ -137,48 +139,41 @@ def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if spec.n_heaters == 1:
         return x
-    return sort_blocks(x.reshape(-1, spec.n_heaters, BLOCK)).reshape(x.shape)
+    b = x.reshape(-1, spec.n_heaters, BLOCK)
+    # blocks in strictly ascending q are already in order
+    return x if (b[:, :-1, 2] < b[:, 1:, 2]).all() else sort_blocks(b).reshape(x.shape)
 
 
 def _log_prior_rows(X: np.ndarray, spec: StateSpec) -> np.ndarray:
-    """log_prior of every row of X (m, dim)."""
-    outside = (X < spec.bounds[:, 0]) | (X > spec.bounds[:, 1]) | (X <= spec._floor)
-    inside = ~outside.any(axis=1)
+    """log_prior of every row of X (m, dim). A NaN compares as inside."""
+    inside = ~((X < spec._lo) | (X > spec._hi)).any(axis=1)
     if len(spec._known_idx) == 0:
         return np.where(inside, 0.0, -np.inf)
     d = X[:, spec._known_idx] - spec._known_mean
     return np.where(inside, -0.5 * (d * d / spec._known_var).sum(axis=1), -np.inf)
 
 
-def _log_likelihood_rows(X: np.ndarray, obs: Observation, sensors, spec: StateSpec,
-                         quad_n: int) -> np.ndarray:
-    """log_likelihood of every row of X (m, dim)."""
+def _make_likelihood(obs: Observation, sensors, spec: StateSpec, quad_n: int):
+    """The log likelihood of every row of a stack (m, dim), for stacks whose
+    c_1 are all positive. The setup is checked here, once."""
     if obs.noise_sigma <= 0.0:
         raise ValueError("inference requires noise_sigma > 0")
-    if X.shape[1] != spec.dim:
-        raise ValueError(f"expected length {spec.dim}, got {X.shape[1]}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("states must be finite")
-    out = np.full(len(X), -np.inf)
-    # c_1 <= 0 is a degenerate shape; the forward model sees only the rest
-    shaped = np.all(X[:, 3::BLOCK] > 0.0, axis=1)
-    h = fieldmod.temperature_rows(*_blocks(X[shaped], spec.n_heaters), sensors.points,
-                                  sensors.wall, quad_n)
-    r = obs.values - h
-    ll = -0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / (obs.noise_sigma ** 2)
-    out[shaped] = np.where(np.all(np.isfinite(h), axis=1), ll, -np.inf)
-    return out
+    var = obs.noise_sigma ** 2
 
+    def likelihood(X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != spec.dim:
+            raise ValueError(f"expected length {spec.dim}, got {X.shape[1]}")
+        if not np.isfinite(X).all():
+            raise ValueError("states must be finite")
+        # resolved per call, so a patched forward model is the one scored
+        h = fieldmod.temperature_rows(*_blocks(X, spec.n_heaters), sensors.points, sensors.wall,
+                                      quad_n)
+        r = obs.values - h
+        ll = -0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / var
+        # a non-finite field row gives a NaN or -inf ll; fmax maps NaN to -inf
+        return np.fmax(ll, -np.inf)
 
-def _log_posterior_rows(X: np.ndarray, obs: Observation, sensors, spec: StateSpec,
-                        quad_n: int) -> np.ndarray:
-    """log_posterior of every row of X (m, dim); the forward model sees
-    only the rows inside the prior's support."""
-    out = _log_prior_rows(X, spec)
-    inside = out != -np.inf
-    if inside.any():
-        out[inside] += _log_likelihood_rows(X[inside], obs, sensors, spec, quad_n)
-    return out
+    return likelihood
 
 
 def _row(x) -> np.ndarray:
@@ -201,23 +196,39 @@ def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
     non-finite field) are reported as -inf so the sampler simply rejects
     the state; any other error propagates.
     """
-    return float(_log_likelihood_rows(_row(x), obs, sensors, spec, quad_n)[0])
+    x, likelihood = _row(x), _make_likelihood(obs, sensors, spec, quad_n)
+    # c_1 <= 0 is a degenerate shape; in the target the prior rejects it first
+    if x.shape[1] == spec.dim and np.isfinite(x).all() and not (x[0, 3::BLOCK] > 0.0).all():
+        return -np.inf
+    return float(likelihood(x)[0])
 
 
 def log_posterior(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
                   quad_n: int = 256) -> float:
     """log prior + log likelihood, skipping the forward model outside B."""
-    return float(_log_posterior_rows(_row(x), obs, sensors, spec, quad_n)[0])
+    return float(make_log_posterior(obs, sensors, spec, quad_n)(_row(x))[0])
 
 
 def make_log_posterior(obs: Observation, sensors, spec: StateSpec, quad_n: int = 256):
     """Closure over a fixed observation setup, for samplers.
 
     The target scores a stack of states (m, dim) in one call and returns
-    their log posteriors (m,).
+    their log posteriors (m,). What depends only on the setup is prepared
+    once: noise_sigma > 0 is checked here, and the spec holds the prior's
+    support as one lower bound (with the half-plane and c_1 > 0 folded in)
+    and one upper bound per component. Only rows inside the support reach
+    the one forward-model call, so no c_1 > 0 mask is needed after it.
     """
+    likelihood = _make_likelihood(obs, sensors, spec, quad_n)
 
     def target(X: np.ndarray) -> np.ndarray:
-        return _log_posterior_rows(np.asarray(X, dtype=float), obs, sensors, spec, quad_n)
+        X = np.asarray(X, dtype=float)
+        out = _log_prior_rows(X, spec)
+        inside = out != -np.inf
+        if inside.all():
+            out += likelihood(X)
+        elif inside.any():
+            out[inside] += likelihood(X[inside])
+        return out
 
     return target

@@ -158,33 +158,34 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     boundary degrades with node spacing, so a row's nodes are doubled
     once when any point lies within two node spacings of its boundary.
 
-    The points go through in blocks of at most _BLOCK_ELEMS elements per
-    work array. Each row's closest approach is taken over all blocks
-    before any row is integrated, so blocking changes no value. The last
-    block's offsets, still in the buffer, are integrated first: a call
-    that fits in one block computes its offsets once.
+    A call that fits in one block of at most _BLOCK_ELEMS elements per
+    work array computes its offsets once: they decide the doubling and
+    integrate every row; doubled rows are overwritten. A larger call asks
+    _near_rows, then integrates the other rows block by block. Neither
+    path changes a value.
     """
     m = len(q)
-    out = np.empty((m, len(pts)))
     x, y, dx, dy = nodes(quad_n)
     # node spacing bounded by max parameterization speed times step
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
+    limit = (2.0 * spacing) ** 2
+    out = np.empty((m, len(pts)))
     blocks, buf = _point_blocks(len(pts), m, quad_n)
-    closest = np.empty((len(blocks), m))  # smallest r2 per block and row
-    for i, b in enumerate(blocks):
-        kept = _offsets(x, y, pts[b], buf)
-        closest[i] = kept[2].min(axis=(1, 2))
-    near = closest.min(axis=0) < (2.0 * spacing) ** 2
-    if not near.all():
-        far = ~near if near.any() else slice(None)
-        x, y, dx, dy, qf = (a[far] for a in (x, y, dx, dy, q))
-        work = tuple(a[far] for a in kept)
-        for i in reversed(range(len(blocks))):
-            if i < len(blocks) - 1:
-                work = _offsets(x, y, pts[blocks[i]], buf)
-            out[far, blocks[i]] = _integrate(*work, dx, dy, qf, quad_n,
-                                             np.any(closest[i, far] == 0.0))
-    kept = work = buf = None  # let the doubled pass reuse the memory
+    if len(blocks) == 1:
+        work = _offsets(x, y, pts, buf)
+        closest = work[2].min(axis=(1, 2))
+        near = closest < limit
+        if not near.all():
+            out = _integrate(*work, dx, dy, q, quad_n, closest.min() == 0.0)
+    else:
+        near = _near_rows(x, y, pts, limit, blocks, buf)
+        if not near.all():
+            far = ~near
+            x, y, dx, dy, qf = (a[far] for a in (x, y, dx, dy, q))
+            for b in blocks:
+                work = _offsets(x, y, pts[b], buf)
+                out[far, b] = _integrate(*work, dx, dy, qf, quad_n, work[2].min() == 0.0)
+    work = buf = None  # let the doubled pass reuse the memory
     if near.any():
         x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
         blocks, buf = _point_blocks(len(pts), len(x), 2 * quad_n)
@@ -193,6 +194,26 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
             out[near, b] = _integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n,
                                       r2.min() == 0.0)
     return out
+
+
+def _near_rows(x, y, pts: np.ndarray, limit: np.ndarray, blocks, buf) -> np.ndarray:
+    """Rows (m,) with a node (x, y), each (m, n), closer than sqrt(limit) (m,)
+    to some point of pts, measured block by block in buf. A row's nodes lie
+    within R, their largest distance from z, the middle of their bounding
+    box, so only the points within R + sqrt(limit) of z (plus a margin of
+    1e-12 of the lengths involved, far above their rounding) get offsets.
+    """
+    z = 0.5 * np.stack([x.max(axis=1) + x.min(axis=1), y.max(axis=1) + y.min(axis=1)], axis=1)
+    radius = np.sqrt(((x - z[:, :1]) ** 2 + (y - z[:, 1:]) ** 2).max(axis=1)) + np.sqrt(limit)
+    radius += 1e-12 * (radius + np.abs(z).sum(axis=1) + max(pts.max(), -pts.min()))
+    closest = np.full(len(x), np.inf)
+    for b in blocks:
+        d = pts[b] - z[:, None, :]
+        # a NaN distance keeps its point, as the offsets would have seen it
+        sub = pts[b][~((d * d).sum(axis=2) > (radius * radius)[:, None]).all(axis=0)]
+        if len(sub):
+            np.minimum(closest, _offsets(x, y, sub, buf)[2].min(axis=(1, 2)), out=closest)
+    return closest < limit
 
 
 def _exterior_terms(C: np.ndarray):
@@ -205,6 +226,9 @@ def _exterior_terms(C: np.ndarray):
     and beta_j = -(1/j) sum_{d=j}^{J-1} w_d [w^d] f(w)^j.
     """
     J = C.shape[1]
+    if J == 2:  # the sampler's every row: w_0 = c1^2 + 2 c2^2, beta_1 = -c1^2 c2
+        c1, c2 = C[:, 0], C[:, 1]
+        return c1 * c1 + c2 * 2.0 * c2, (-(c1 * c2 * c1),)
     c = C.T  # c[k - 1] is c_k
     kc = c * np.arange(1.0, J + 1.0)[:, None]
     w = kc[0] * c  # w[d] = sum_j j c_j c_{j+d}, accumulated over j
@@ -246,8 +270,9 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     Row i is the heater with coefficients C[i] (J,), center centers[i]
     and strength q[i]. A row whose points all lie strictly outside its
     reach sum_k |c_k| takes the exact closed form; every other row goes
-    through the _heater_rows quadrature. The choice is made per row, so
-    a row's values do not depend on the other rows.
+    through the _heater_rows quadrature, which overwrites the closed form
+    computed for all rows at once. The choice is made per row, so a row's
+    values do not depend on the other rows.
     """
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
@@ -256,11 +281,10 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
         return _exterior_rows(C, q, dx, r2)
-    exact = outside.all(axis=1)
-    out = np.empty_like(r2)
-    if exact.any():
-        out[exact] = _exterior_rows(C[exact], q[exact], dx[exact], r2[exact])
-    quad = ~exact
+    # every row takes the closed form; rows with a point inside the reach overwrite it
+    with np.errstate(all="ignore"):
+        out = _exterior_rows(C, q, dx, r2)
+    quad = ~outside.all(axis=1)
     out[quad] = _heater_rows(partial(node_rows, C[quad], centers[quad]), q[quad], pts, quad_n)
     return out
 
@@ -353,10 +377,12 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     single kernel call. A row whose points all lie outside the heater's
     reach sum_k |c_k| takes the exact closed form of the module
     docstring; only a row with some point inside the reach runs the
-    quad_n-node quadrature. The choice is per row, so a configuration's
-    row does not depend on the others. Rejected configurations come back
-    as non-finite rows: NaN when a heater crosses the wall, otherwise
-    wherever the field is not finite.
+    quad_n-node quadrature. When every row takes the closed form, as in
+    almost every sampler sweep, no row is masked or copied, and J = 2
+    rows skip the general coefficient recursion. The choice is per row,
+    so a configuration's row does not depend on the others. Rejected
+    configurations come back as non-finite rows: NaN when a heater
+    crosses the wall, otherwise wherever the field is not finite.
     """
     return _rows(C, centers, q, points, wall, quad_n, _heater_field)
 

@@ -108,29 +108,29 @@ def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
     """One Metropolis sweep: every chain of the ladder updates once.
 
     Each chain draws a symmetric Gaussian random-walk step of diagonal
-    variance var from its own stream, in chain order; the proposals are
-    canonicalized and scored together by one target call.
-    Chain i then accepts with probability
-    min(1, exp(beta_i * (l(x') - l(x)))), where l is the untempered log
-    posterior, drawing its uniform from its own stream only when the
-    move is not uphill. Cached values are updated on acceptance. Returns
-    the acceptance flags (n_chains,).
+    variance var from its own stream, in chain order, into its row of one
+    buffer; one target call scores the canonicalized proposals. Chain i
+    accepts with probability min(1, exp(beta_i * (l(x') - l(x)))), l the
+    untempered log posterior read as Python floats, drawing its uniform
+    from its own stream only when the move is not uphill, and updates its
+    cached values on acceptance. Returns the acceptance flags (n_chains,).
     """
     if var <= 0.0:
         raise ValueError("proposal variance must be positive")
-    dim = ladder.states.shape[1]
-    steps = np.array([rng.standard_normal(dim) for rng in ladder.rngs])
+    steps = np.empty(ladder.states.shape)
+    for rng, row in zip(ladder.rngs, steps):
+        rng.standard_normal(out=row)
     proposals = ladder.states + np.sqrt(var) * steps
     if canon is not None:
         proposals = canon(proposals)
-    lps = target(proposals)
+    lps = np.asarray(target(proposals), dtype=float).tolist()
     accepted = np.zeros(ladder.n_chains, dtype=bool)
-    for i, rng in enumerate(ladder.rngs):
-        lp = float(lps[i])
+    for i, (rng, lp, old, beta) in enumerate(zip(ladder.rngs, lps, ladder.log_posts.tolist(),
+                                                 ladder.betas.tolist())):
         # log(u) <= 0 < beta * delta handles the sure-accept case; nan (both
         # -inf) and -inf deltas compare False and reject.
-        delta = lp - float(ladder.log_posts[i])
-        if delta > 0 or np.log(rng.random()) < ladder.betas[i] * delta:
+        delta = lp - old
+        if delta > 0 or np.log(rng.random()) < beta * delta:
             ladder.states[i] = proposals[i]
             ladder.log_posts[i] = lp
             accepted[i] = True

@@ -258,17 +258,22 @@ def test_canonicalize_rows_follow_the_list_sort_rule():
         np.testing.assert_array_equal(canonicalize(x, spec), row)
 
 
+def _likelihood_alone(x, obs, sensors):
+    """Log likelihood of one state through the one-configuration forward model."""
+    try:
+        h = observe(heaters_from(x, len(x) // BLOCK), sensors)
+    except (DegenerateShapeError, WallGeometryError, FieldEvaluationError):
+        return -np.inf
+    r = obs.values - h
+    return -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
+
+
 def _scored_alone(x, obs, sensors, spec):
     """Log posterior of one state through the one-configuration forward model."""
     lp = log_prior(x, spec)
     if lp == -np.inf:
         return -np.inf
-    try:
-        h = observe(heaters_from(x, spec.n_heaters), sensors)
-    except (DegenerateShapeError, WallGeometryError, FieldEvaluationError):
-        return -np.inf
-    r = obs.values - h
-    return lp + -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
+    return lp + _likelihood_alone(x, obs, sensors)
 
 
 def _assert_rows_score_alone(X, obs, sensors, spec):
@@ -342,3 +347,77 @@ def test_wall_mode_ladder_matches_scalar_scores():
     X = np.array([pack([truth]), [0.0, 0.2, 1.0, 0.5, 0.0], [0.5, 0.31, 1.0, 0.3, 0.0]])
     got = _assert_rows_score_alone(X, obs, sensors, spec)
     assert got[1] == -np.inf and np.isfinite(got[[0, 2]]).all()
+
+
+def _unfolded_log_prior(x, spec):
+    """The prior as its parts state it: the box, c_1 > 0 and the half-plane
+    y0 > 0 tested one by one, plus the sharp Gaussians."""
+    lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
+    if np.any(x < lo) or np.any(x > hi) or np.any(x[3::BLOCK] <= 0.0):
+        return -np.inf
+    if spec.half_plane and np.any(x[1::BLOCK] <= 0.0):
+        return -np.inf
+    idx = sorted(spec.known)
+    d = x[idx] - np.array([spec.known[i][0] for i in idx])
+    return -0.5 * float(np.sum(d * d / np.array([spec.known[i][1] for i in idx])))
+
+
+EDGE_ROWS = np.array([
+    TRUTH,
+    [-2.0, 1.5, 0.0, 0.5, -0.5],  # x0, q and c2 on their lower bounds
+    [2.0, 2.0, 10.0, 1.0, 0.5],  # every component on its upper bound
+    [0.5, 0.0, 1.0, 0.5, 0.25],  # y0 = 0: on its bound, not above the half-plane
+    [0.5, 5e-324, 1.0, 0.5, 0.25],  # the smallest y0 above the half-plane
+    [0.5, 0.8, 1.0, 0.0, 0.25],  # c1 = 0
+    [0.5, 0.8, 1.0, -0.0, 0.25],  # c1 = -0
+    [0.5, 0.8, 1.0, 5e-324, 0.25],  # the smallest c1 > 0
+    [-0.0, 0.8, 1.0, 0.5, -0.0],  # signed zeros inside the box
+    [np.inf, 0.8, 1.0, 0.5, 0.25],
+    [0.5, 0.8, -np.inf, 0.5, 0.25],
+    [0.5, 0.8, 1.0, 0.5, np.inf],
+    [0.0, 0.45, 1.0, 0.3, 0.2],  # sensor (0, 0) inside the reach, 0.016 below the boundary
+    [-0.5, 0.0, 1.0, 0.25, 0.25],  # the t = 0 node sits exactly on sensor (0, 0)
+])
+
+
+@pytest.mark.parametrize("half_plane", [True, False])
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_target_scores_the_prior_edges_as_each_row_alone(wall, half_plane):
+    sensors = SensorArray(SENSORS.points, wall)
+    obs = Observation(observe(heaters_from(pack([TRUTH]), 1), sensors), 5e-4)
+    spec = StateSpec.create(1, known={4: (0.25, 1e-2)}, half_plane=half_plane)
+    got = make_log_posterior(obs, sensors, spec)(EDGE_ROWS)
+    for x, g in zip(EDGE_ROWS, got):
+        assert g.tobytes() == np.float64(log_posterior(x, obs, sensors, spec)).tobytes()
+        lp = _unfolded_log_prior(x, spec)
+        alone = lp if lp == -np.inf else lp + _likelihood_alone(x, obs, sensors)
+        assert g.tobytes() == np.float64(alone).tobytes()
+    # the bounds themselves are inside; c1 <= 0 and inf are not
+    assert np.isfinite(got[[0, 1, 2, 7, 8, 12]]).all()
+    assert (got[[5, 6, 9, 10, 11]] == -np.inf).all()
+    # a heater at y0 ~ 0 crosses the wall; y0 = 0 is also below the half-plane
+    unbounded = wall is Wall.UNBOUNDED
+    assert np.isfinite(got[4]) == unbounded
+    assert np.isfinite(got[[3, 13]]).tolist() == [unbounded and not half_plane] * 2
+
+
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_nan_inside_the_box_still_raises(wall):
+    sensors = SensorArray(SENSORS.points, wall)
+    obs = Observation(observe(heaters_from(pack([TRUTH]), 1), sensors), 5e-4)
+    spec = StateSpec.create(1)
+    X = np.array([TRUTH, TRUTH])
+    X[1, 4] = np.nan  # every comparison with the bounds is False: inside the box
+    with pytest.raises(ValueError, match="states must be finite"):
+        make_log_posterior(obs, sensors, spec)(X)
+    with pytest.raises(ValueError, match="states must be finite"):
+        log_posterior(X[1], obs, sensors, spec)
+
+
+def test_zero_noise_fails_when_the_target_is_built():
+    zero = Observation(_clean_obs().values, 0.0)
+    spec = StateSpec.create(1)
+    with pytest.raises(ValueError, match="inference requires noise_sigma > 0"):
+        make_log_posterior(zero, SENSORS, spec)  # before any state is scored
+    with pytest.raises(ValueError, match="inference requires noise_sigma > 0"):
+        log_likelihood(pack([TRUTH]), zero, SENSORS, spec)

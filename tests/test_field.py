@@ -478,6 +478,67 @@ def test_grid_working_set_is_bounded():
     assert peak < 16e6
 
 
+
+def _full_pass_heater_rows(nodes, q, pts, quad_n):
+    """The quadrature kernel as it was before _near_rows: the closest
+    approach of every point to every row is measured, block by block,
+    before any row is integrated."""
+    m = len(q)
+    out = np.empty((m, len(pts)))
+    x, y, dx, dy = nodes(quad_n)
+    spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
+    blocks, buf = fieldmod._point_blocks(len(pts), m, quad_n)
+    closest = np.empty((len(blocks), m))
+    for i, b in enumerate(blocks):
+        kept = fieldmod._offsets(x, y, pts[b], buf)
+        closest[i] = kept[2].min(axis=(1, 2))
+    near = closest.min(axis=0) < (2.0 * spacing) ** 2
+    if not near.all():
+        far = ~near if near.any() else slice(None)
+        x, y, dx, dy, qf = (a[far] for a in (x, y, dx, dy, q))
+        work = tuple(a[far] for a in kept)
+        for i in reversed(range(len(blocks))):
+            if i < len(blocks) - 1:
+                work = fieldmod._offsets(x, y, pts[blocks[i]], buf)
+            out[far, blocks[i]] = fieldmod._integrate(*work, dx, dy, qf, quad_n,
+                                                      np.any(closest[i, far] == 0.0))
+    if near.any():
+        x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
+        blocks, buf = fieldmod._point_blocks(len(pts), len(x), 2 * quad_n)
+        for b in blocks:
+            rhox, rhoy, r2 = fieldmod._offsets(x, y, pts[b], buf)
+            out[near, b] = fieldmod._integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n,
+                                               r2.min() == 0.0)
+    return out
+
+
+@pytest.mark.parametrize("budget", [fieldmod._BLOCK_ELEMS, 1 << 12])
+def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
+    # the two-heater truth on the desk grid: only the cells within a
+    # heater's node radius plus two spacings get coarse offsets, and the
+    # grid stays bitwise the full pass's
+    heaters = [(HEART, 1.0), (HeaterShape((0.2, 0.0), (-0.6, 0.6)), 2.0)]
+    monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
+    elems = collections.Counter()  # offset elements computed, per node count
+    real = fieldmod._offsets
+
+    def counted(x, y, pts, buf):
+        elems[x.shape[1]] += x.size * len(pts)
+        return real(x, y, pts, buf)
+    monkeypatch.setattr(fieldmod, "_offsets", counted)
+
+    def grid():
+        return field_grid(heaters, (-2, 2, -1, 2), (120, 90), quad_n=256).values
+    got, got_elems = grid(), dict(elems)
+    elems.clear()
+    monkeypatch.setattr(fieldmod, "_heater_rows", _full_pass_heater_rows)
+    assert got.tobytes() == grid().tobytes()
+    # both heaters double their nodes for every cell, as before
+    assert got_elems[512] == elems[512] == 2 * 10800 * 512
+    assert elems[256] == 2 * 10800 * 256
+    assert got_elems[256] < 0.1 * elems[256]
+
+
 # --- closed form outside the reach: exact, and the sweep's fast path ---
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
