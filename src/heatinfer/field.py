@@ -24,13 +24,15 @@ counts overlap multiplicity the way the boundary integral counts winding
 number, so self-overlapping shapes (c1 < 2|c2|) agree too.
 
 A heater row whose points all lie outside its reach takes the closed
-form. Every other row, and every row of field_grid, goes through the
-quadrature: the area integral reduces to a boundary integral through the
-divergence identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1)
-/ 4, evaluated by the trapezoidal rule on the Fourier parameterization of
-the boundary. For a closed smooth boundary and an evaluation point off
-the curve the rule converges spectrally, so quad_n = 256 already gives
-near machine accuracy away from the boundary.
+form, and every other row goes through the quadrature; field_grid makes
+the same choice per heater and cell, so only its cells inside a heater's
+reach run the quadrature. The area integral reduces to a boundary
+integral through the divergence identity div F = log|rho| with
+F(rho) = rho * (2*log|rho| - 1) / 4, evaluated by the trapezoidal rule
+on the Fourier parameterization of the boundary. For a closed smooth
+boundary and an evaluation point off the curve the rule converges
+spectrally, so quad_n = 256 already gives near machine accuracy away from
+the boundary.
 
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
@@ -42,7 +44,8 @@ Memory: the quadrature walks the points in blocks whose (rows, points,
 nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
 work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
 number of points, unless a single point times the rows times the nodes
-already exceeds the budget. The blocks change no value.
+already exceeds the budget. field_grid's closed form walks the same
+blocks. The blocks change no value.
 """
 
 import enum
@@ -103,10 +106,11 @@ _WALL_CHECK_N = 256  # boundary nodes tested against the wall
 _BLOCK_ELEMS = 1 << 16  # elements per kernel work array: the four take 2 MB
 
 
-def _point_blocks(p: int, rows: int, n: int):
+def _point_blocks(p: int, rows: int, n: int, buf=None):
     """Slices over p points whose (rows, block, n) work arrays hold at most
     _BLOCK_ELEMS elements (at least one point each), and one flat buffer
-    for the four work arrays of any of those blocks.
+    for the four work arrays of any of those blocks: buf, if it is large
+    enough.
 
     One buffer serves every block: allocated and freed block by block,
     arrays of a few hundred kB make the C allocator return memory to the
@@ -114,7 +118,8 @@ def _point_blocks(p: int, rows: int, n: int):
     """
     step = max(1, _BLOCK_ELEMS // max(rows * n, 1))
     blocks = [slice(i, min(i + step, p)) for i in range(0, p, step)]
-    return blocks, np.empty(4 * rows * min(step, p) * n)
+    size = 4 * rows * min(step, p) * n
+    return blocks, buf if buf is not None and buf.size >= size else np.empty(size)
 
 
 def _offsets(x, y, pts, buf):
@@ -457,9 +462,10 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
 
     region is (xmin, xmax, ymin, ymax) and resolution is (nx, ny). In
     wall mode the region is clipped to y >= 0 before gridding. The cells go
-    through the driver of temperatures, with the quadrature on nodes from
-    boundary_nodes for every cell: a grid almost always has cells inside a
-    heater's reach, so the closed form would spare it little.
+    through _rows, as the points of temperatures do, with the _grid_rows
+    kernel: a cell outside a heater's (or image's) reach takes the closed
+    form for that heater, and only the few cells inside it run the
+    quadrature, on nodes from boundary_nodes.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -484,5 +490,47 @@ def boundary_nodes(rows, n: int):
 
 
 def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
-    """The quadrature (m, p) of one heater per row at every point."""
-    return _heater_rows(partial(boundary_nodes, (C, centers)), q, pts, quad_n)
+    """Temperatures (m, p) of one heater per row at pts (p, 2), chosen per
+    (row, point) pair.
+
+    A pair whose point lies strictly outside the row's reach takes the
+    exact closed form, any other the quadrature on nodes from
+    boundary_nodes, drawn at quad_n for every row. As in _heater_rows, a
+    row doubles its nodes when any point, in its reach or not, lies within
+    two node spacings of them, so each in-reach pair is _heater_rows'
+    value bit for bit. The closed form walks the points in the
+    quadrature's blocks, and one buffer serves the doubling decision and
+    the integration, row by row over the row's in-reach points.
+    """
+    m, p = len(q), len(pts)
+    x, y, dx, dy = boundary_nodes((C, centers), quad_n)
+    reach = np.abs(C).sum(axis=1)
+    out = np.empty((m, p))
+    inside = np.empty((m, p), dtype=bool)
+    for b in _point_blocks(p, m, quad_n)[0]:
+        ox = pts[b, 0] - centers[:, 0:1]
+        oy = pts[b, 1] - centers[:, 1:2]
+        r2 = ox * ox + oy * oy
+        np.logical_not(r2 > (reach * reach)[:, None], out=inside[:, b])
+        with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
+            out[:, b] = _exterior_rows(C, q, ox, r2)
+    quad = np.flatnonzero(inside.any(axis=1))
+    if not len(quad):
+        return out
+    x, y, dx, dy = (a[quad] for a in (x, y, dx, dy))
+    spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
+    blocks, buf = _point_blocks(p, len(quad), quad_n)
+    near = _near_rows(x, y, pts, (2.0 * spacing) ** 2, blocks, buf)
+    groups = [(quad[~near], quad_n, [a[~near] for a in (x, y, dx, dy)])]
+    if near.any():
+        groups.append((quad[near], 2 * quad_n,
+                       boundary_nodes((C[quad[near]], centers[quad[near]]), 2 * quad_n)))
+    for rows, n, (x, y, dx, dy) in groups:
+        for k, i in enumerate(rows):
+            cells = np.flatnonzero(inside[i])
+            blocks, buf = _point_blocks(len(cells), 1, n, buf)
+            for b in blocks:
+                work = _offsets(x[k:k + 1], y[k:k + 1], pts[cells[b]], buf)
+                out[i, cells[b]] = _integrate(*work, dx[k:k + 1], dy[k:k + 1], q[i:i + 1], n,
+                                              work[2].min() == 0.0)[0]
+    return out

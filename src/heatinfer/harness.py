@@ -238,7 +238,7 @@ def _parse_estimator(raw, truth, path="estimator"):
         _err(path, str(e))
 
 
-def _parse_grid(raw, path="grid"):
+def _parse_grid(raw, wall: Wall, path="grid"):
     if raw is None:
         return None
     if not isinstance(raw, dict):
@@ -247,6 +247,8 @@ def _parse_grid(raw, path="grid"):
     res = _numbers(raw.get("resolution"), f"{path}.resolution", 2, integer=True)
     if not (region[0] < region[1] and region[2] < region[3]):
         _err(f"{path}.region", f"empty region {region!r}")
+    if wall is Wall.ADIABATIC_Y0 and region[3] <= 0:
+        _err(f"{path}.region", f"ymax = {region[3]!r} leaves nothing above the wall y = 0")
     if res[0] < 2 or res[1] < 2:
         _err(f"{path}.resolution", "must be at least 2 in each direction")
     return GridSpec(tuple(float(v) for v in region), tuple(res))
@@ -295,7 +297,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if exponents[-1] != 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
         _err("ladder.exponents", "must be strictly increasing and end at 0")
 
-    grid = _parse_grid(doc.get("grid"))
+    grid = _parse_grid(doc.get("grid"), sensors.wall)
 
     # truth must be representable by the estimator when dimensions match
     if len(truth) and spec.n_heaters == len(truth):

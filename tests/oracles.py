@@ -4,11 +4,17 @@ Everything here is deliberately written from scratch against the
 underlying mathematics (dense polygon sums, area quadrature of the log
 kernel) and avoids the boundary-integral machinery under test. The EM
 oracle shares only the mixture fit's k-means++ start, so that both fits
-begin from the same components.
+begin from the same components. The grid oracle is the field_grid kernel
+that the per-pair choice of the closed form replaced; it runs the
+package's own quadrature, so that the pairs still integrated can be
+checked against it bit for bit.
 """
+
+from functools import partial
 
 import numpy as np
 
+from heatinfer import field
 from heatinfer.posterior import COV_FLOOR, _kmeanspp_seeds
 
 
@@ -145,3 +151,11 @@ def em_mixture(samples, k, max_iters=200, tol=1e-8, rng=None):
             break
         prev = loglik
     return weights, means, covs, np.asarray(logliks)
+
+
+def quadrature_grid_rows(C, centers, q, pts, quad_n):
+    """Temperatures (m, p) of one heater per row, every pair by quadrature:
+    the field_grid kernel before it took the closed form outside a heater's
+    reach. Nodes come from field.boundary_nodes at quad_n, doubled for a
+    row when some point lies within two node spacings of them."""
+    return field._heater_rows(partial(field.boundary_nodes, (C, centers)), q, pts, quad_n)

@@ -14,7 +14,7 @@ from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
 from heatinfer.harness import load_config
 from heatinfer.shapes import HeaterShape, curve_moments, node_rows
 
-from oracles import fan_quadrature_temp, point_source_temp
+from oracles import fan_quadrature_temp, point_source_temp, quadrature_grid_rows
 
 # fan-quadrature ground value (1.15e6 points) for the heater below at the origin
 HEART_T_ORIGIN = 3.4294837696656255e-4
@@ -514,29 +514,53 @@ def _full_pass_heater_rows(nodes, q, pts, quad_n):
 
 @pytest.mark.parametrize("budget", [fieldmod._BLOCK_ELEMS, 1 << 12])
 def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
-    # the two-heater truth on the desk grid: only the cells within a
-    # heater's node radius plus two spacings get coarse offsets, and the
-    # grid stays bitwise the full pass's
+    # the two-heater truth on the desk grid, in both wall modes: only the
+    # cells within a heater's node radius plus two spacings get coarse
+    # offsets, only the in-reach pairs are integrated, and those stay
+    # bitwise the full pass's
     heaters = [(HEART, 1.0), (HeaterShape((0.2, 0.0), (-0.6, 0.6)), 2.0)]
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
     elems = collections.Counter()  # offset elements computed, per node count
+    highest = []  # the highest node of each row that got offsets
     real = fieldmod._offsets
 
     def counted(x, y, pts, buf):
         elems[x.shape[1]] += x.size * len(pts)
+        highest.extend(y.max(axis=1))
         return real(x, y, pts, buf)
     monkeypatch.setattr(fieldmod, "_offsets", counted)
+    calls = []
+    real_rows = fieldmod._grid_rows
 
-    def grid():
-        return field_grid(heaters, (-2, 2, -1, 2), (120, 90), quad_n=256).values
-    got, got_elems = grid(), dict(elems)
-    elems.clear()
-    monkeypatch.setattr(fieldmod, "_heater_rows", _full_pass_heater_rows)
-    assert got.tobytes() == grid().tobytes()
-    # both heaters double their nodes for every cell, as before
-    assert got_elems[512] == elems[512] == 2 * 10800 * 512
-    assert elems[256] == 2 * 10800 * 256
-    assert got_elems[256] < 0.1 * elems[256]
+    def recorded(*args):
+        calls.append(args + (real_rows(*args),))
+        return calls[-1][-1]
+    monkeypatch.setattr(fieldmod, "_grid_rows", recorded)
+    for wall in (Wall.UNBOUNDED, Wall.ADIABATIC_Y0):
+        elems.clear()
+        highest.clear()
+        field_grid(heaters, (-2, 2, -1, 2), (120, 90), wall, 256)
+        C, centers, q, pts, quad_n, got = calls.pop()
+        got_elems = dict(elems)
+        inside, _ = _in_reach(C, centers, q, pts)
+        # the images lie below the wall, so none of their rows reaches _offsets
+        assert min(highest) > 0.0
+        elems.clear()
+        full = _full_pass_heater_rows(partial(node_rows, C, centers), q, pts, quad_n)
+        assert got[inside].tobytes() == full[inside].tobytes()
+        # both heaters have cells within two node spacings and double their
+        # nodes, but only for their in-reach pairs (313,344 elements
+        # unbounded, against 2 * 10,800 * 512 when every cell was doubled)
+        assert got_elems[512] == 512 * np.count_nonzero(inside)
+        assert elems[512] == 2 * 10800 * 512
+        assert inside[:2].mean() < 0.05 and not inside[2:].any()
+        # the doubling decision measures the same cells near each heater as
+        # the kernel that integrated every pair (on the heaters alone, both
+        # doubled, its 256-node offsets are that decision's), a tenth of the
+        # full pass's
+        elems.clear()
+        quadrature_grid_rows(C[:2], centers[:2], q[:2], pts, quad_n)
+        assert got_elems[256] == elems[256] < 0.1 * 2 * 10800 * 256
 
 
 # --- closed form outside the reach: exact, and the sweep's fast path ---
@@ -619,6 +643,64 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     assert 0.5 < closed.mean() < 0.9  # both paths are exercised
     slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1)
     assert np.all(np.abs(got - ref).max(axis=1) <= np.abs(before - ref).max(axis=1) + slack)
+
+
+# the J = 5 shape loops over itself; its center lies above its reach (0.58)
+J5_HEATER = np.array([[0.3, 0.9, 1.5, 0.2, -0.1, 0.15, -0.05, 0.08]])
+
+
+def _grid_case(name, wall):
+    """One heater per row (C, centers, q), wall images included, and the
+    cell centres of the desk grid, clipped to y >= 0 in wall mode."""
+    config = load_config(os.path.join(CONFIG_DIR, "two_heaters.json" if name == "j5"
+                                      else f"{name}.json"))
+    rows = J5_HEATER if name == "j5" else config.truth
+    C, centers, q = rows[:, 3:], rows[:, :2], rows[:, 2]
+    xmin, xmax, ymin, ymax = config.grid.region
+    if wall is Wall.ADIABATIC_Y0:
+        ymin = 0.0
+        C, q = np.concatenate([C, C]), np.concatenate([q, q])
+        centers = np.concatenate([centers, centers * [1.0, -1.0]])
+    nx, ny = config.grid.resolution
+    gx, gy = np.meshgrid(xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx,
+                         ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny)
+    return C, centers, q, np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _in_reach(C, centers, q, pts):
+    """The (row, point) pairs (m, p) not strictly outside the row's reach,
+    and the closed form (m, p) at every pair."""
+    dx = pts[:, 0] - centers[:, 0:1]
+    dy = pts[:, 1] - centers[:, 1:2]
+    r2 = dx * dx + dy * dy
+    reach = np.abs(C).sum(axis=1)
+    with np.errstate(all="ignore"):
+        return ~(r2 > (reach * reach)[:, None]), fieldmod._exterior_rows(C, q, dx, r2)
+
+
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+@pytest.mark.parametrize("name", ["single_heater", "two_heaters", "j5"])
+def test_grid_pairs_are_no_less_accurate_than_the_quadrature(name, wall):
+    # every cell of the desk grid, one heater (or image) per row: no pair
+    # moves further from the 4,096-node reference than the quadrature every
+    # pair ran before, plus 16 ulp of the row's max|T| for the rounding of
+    # the reference (see the prior-box test above). Where the boundary
+    # touches the reach, the old quadrature is itself off by up to 3.4e-6 of
+    # max|T| (single_heater's cell at (1.25, 0.75), 0.0019 from the boundary
+    # and just outside the reach), which the closed form now gets right.
+    C, centers, q, pts = _grid_case(name, wall)
+    got = fieldmod._grid_rows(C, centers, q, pts, 256)
+    before = quadrature_grid_rows(C, centers, q, pts, 256)
+    ref = quadrature_grid_rows(C, centers, q, pts, 4096)
+    slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= np.abs(before - ref) + slack)
+    # in-reach pairs are the old quadrature bit for bit, the others the closed form
+    inside, closed = _in_reach(C, centers, q, pts)
+    heaters = len(q) // 2 if wall is Wall.ADIABATIC_Y0 else len(q)
+    assert 0 < inside[:heaters].mean() < 0.3
+    assert not inside[heaters:].any()  # every image lies below every cell
+    assert got[inside].tobytes() == before[inside].tobytes()
+    assert got[~inside].tobytes() == closed[~inside].tobytes()
 
 
 def _near_truth(config, rng, m=5):

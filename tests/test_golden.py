@@ -22,7 +22,12 @@ residuals and its grid. In two_heaters_wall the best covariance has one
 eigenvalue at the covariance floor twice, and its two eigenvectors turned
 within their shared plane, which itself moved by 6e-11. best_index and
 the EM iteration counts did not change; samples.csv, the truth grids and
-the meta files did not move.
+the meta files did not move. The truth_grid.csv and best_grid.csv hashes
+were re-recorded when grids took the closed form for every heater-cell
+pair outside the heater's reach in place of the quadrature: the largest
+change, 3.4e-6 of max|T| (single_heater's truth grid), sits at cells just
+outside the reach next to the boundary, where the quadrature had been off
+by that much. samples.csv, report.json and the meta files did not move.
 The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
 numpy or BLAS build may round differently and must re-record them from a
 known-good commit.
@@ -41,35 +46,35 @@ SCHEDULE = {"phase1_steps": 200, "phase2_steps": 1000, "thin": 1}
 
 GOLDEN = {
     "single_heater": {
-        "best_grid.csv": "ec7ed1657662327e8a4b155f82aa2c9e4b41437ed50cebbc923e00c38be7880a",
+        "best_grid.csv": "aa4e91949c9c01504fbf1e1c6b0a7a0cef76bbb88888b091974795bece11389c",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
         "report.json": "c5d79f90c0d28a1373e4e47f6c4c561032b68aaff178a6465769f22053200061",
         "samples.csv": "3b881b745df5d2908c372456cd6a58c267bc61c371603c77a9eb74756934aab9",
-        "truth_grid.csv": "ee9f2a45a1eda0c98e8144d69b25e6c782abc41f1c784398328172de7b9577b9",
+        "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "single_heater_ladder": {
-        "best_grid.csv": "a9f68dacdae636557001cd45b075745a12820067999a141ce89a50206c733c81",
+        "best_grid.csv": "1268b870abc5f76f67d88c0216d7b36cd8d13b4913c27cf1eb3a378827787bf6",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
         "report.json": "e0a77a5ba29496fddb442ee09cd5cccc5db5a6c01a7f56f540d5a548714d97bb",
         "samples.csv": "fbadc9b876ecf829b74193f6b5c119a902c78859a24dac34be3e6a1f310c7132",
-        "truth_grid.csv": "ee9f2a45a1eda0c98e8144d69b25e6c782abc41f1c784398328172de7b9577b9",
+        "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "two_heaters": {
-        "best_grid.csv": "7578e87d57bb2fc77c1d00808864064d1d25cb967e38053ca12b41d16bfb14ab",
+        "best_grid.csv": "0c05ba76360a71cbb99af5bdb4312ef64f656f7b19b9ba4dbd274a4b5e0c3bfa",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
         "report.json": "db8aeb065e0da1959f468aa954079fbc45fc85de35619c29d3253162d12939dd",
         "samples.csv": "c8903195feea6e2b9fec9b8512154abfdff63e63965727f79d9903910d710a91",
-        "truth_grid.csv": "812eae5c0b508b114fcdec408cdd9cea3f573525d78090f8387a55053ae761d5",
+        "truth_grid.csv": "08fed5c6088def6bc403b99cfa53a7a1df85f5f3f65a73c7f2e686c04dde490d",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "two_heaters_wall": {
-        "best_grid.csv": "2e778bf56d146efecb1dfd59cf694f8abeead07e5e79f4806b255424c096a309",
+        "best_grid.csv": "dfb4b69d3190594fb96d4996a179015b7678d777af335ce9615710a2c686fc45",
         "best_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
         "report.json": "1604c9caf4d0ce05953620f3e71bbabf4bc59586a185b4826082b3bb24a7bb9f",
         "samples.csv": "931457a0cb6324634be0b288bea7306163ec993c8a45a21c5514467e5caf7a87",
-        "truth_grid.csv": "4a266643b3d1465c0ee43d1a44003b866b9622ac494c910de5bd23b0eccb8731",
+        "truth_grid.csv": "e58627c681a6b037f3620b6dcec84144030daa7f5ff81082436a3ec28a770081",
         "truth_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
     },
 }

@@ -367,6 +367,22 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, case):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_cli_grid_below_the_wall_fails_before_sampling(tmp_path, capsys):
+    # the wall clips the region to y >= 0, which leaves this one empty; a
+    # schedule long enough for a progress line shows whether sampling began
+    doc = {**MINIMAL, "sensors": {"count": 3, "wall": True},
+           "schedule": {"phase1_steps": 10_000, "phase2_steps": 1000},
+           "grid": {"region": [-2, 2, -1, -0.5], "resolution": [4, 4]}}
+    cfg = _write_cfg(tmp_path, doc)
+    rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not any("[mcmc]" in line for line in err)
+    assert re.match(r"error: grid.region: ymax = -0.5 ", err[0])
+    # without the wall the same region is a valid grid
+    parse_config({**doc, "sensors": {"count": 3}})
+
+
 def test_config_rejects_coarse_quadrature():
     with pytest.raises(ConfigError, match="quad_n"):
         parse_config({**MINIMAL, "quad_n": 16})
