@@ -155,7 +155,7 @@ def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
     return -q[:, None] / (8.0 * np.pi) * rhox.sum(axis=2) * (2.0 * np.pi / n)
 
 
-def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells=None, out=None) -> np.ndarray:
     """Boundary-integral temperatures (m, p) of one heater per row at pts (p, 2).
 
     nodes(n) returns the rows' boundary samples and tangents (x, y, dx,
@@ -163,41 +163,49 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     boundary degrades with node spacing, so a row's nodes are doubled
     once when any point lies within two node spacings of its boundary.
 
-    A call that fits in one block of at most _BLOCK_ELEMS elements per
-    work array computes its offsets once: they decide the doubling and
-    integrate every row; doubled rows are overwritten. A larger call asks
-    _near_rows, then integrates the other rows block by block. Neither
-    path changes a value.
+    cells (m, p), if given, marks the pairs to integrate: only they are
+    written, into out (m, p) if given, and a row with no marked pair gets
+    no offsets. Doubling still looks at every point, so each marked pair
+    is the unmasked value bit for bit.
+
+    An unmasked call that fits in one block of at most _BLOCK_ELEMS
+    elements per work array computes its offsets once: they decide the
+    doubling and integrate every row. Any other call asks _near_rows about
+    the rows with a marked pair (every row, unmasked). Each row left to
+    integrate, doubled or not, then walks its marked points on its own,
+    block by block in one buffer. No path changes a value.
     """
-    m = len(q)
+    m, p = len(q), len(pts)
     x, y, dx, dy = nodes(quad_n)
     # node spacing bounded by max parameterization speed times step
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
     limit = (2.0 * spacing) ** 2
-    out = np.empty((m, len(pts)))
-    blocks, buf = _point_blocks(len(pts), m, quad_n)
-    if len(blocks) == 1:
+    blocks, buf = _point_blocks(p, m, quad_n)
+    if cells is None and out is None and len(blocks) == 1:
         work = _offsets(x, y, pts, buf)
         closest = work[2].min(axis=(1, 2))
         near = closest < limit
-        if not near.all():
-            out = _integrate(*work, dx, dy, q, quad_n, closest.min() == 0.0)
+        out = np.empty((m, p)) if near.all() else _integrate(*work, dx, dy, q, quad_n,
+                                                             closest.min() == 0.0)
+        coarse = ()
     else:
-        near = _near_rows(x, y, pts, limit, blocks, buf)
-        if not near.all():
-            far = ~near
-            x, y, dx, dy, qf = (a[far] for a in (x, y, dx, dy, q))
-            for b in blocks:
-                work = _offsets(x, y, pts[b], buf)
-                out[far, b] = _integrate(*work, dx, dy, qf, quad_n, work[2].min() == 0.0)
-    work = buf = None  # let the doubled pass reuse the memory
+        marked = np.ones(m, dtype=bool) if cells is None else cells.any(axis=1)
+        near = np.zeros(m, dtype=bool)
+        near[marked] = _near_rows(x[marked], y[marked], pts, limit[marked],
+                                  *_point_blocks(p, np.count_nonzero(marked), quad_n, buf))
+        coarse = np.flatnonzero(marked & ~near)
+        out = np.empty((m, p)) if out is None else out
+    groups = [(quad_n, coarse, (x, y, dx, dy))]
     if near.any():
-        x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
-        blocks, buf = _point_blocks(len(pts), len(x), 2 * quad_n)
-        for b in blocks:
-            rhox, rhoy, r2 = _offsets(x, y, pts[b], buf)
-            out[near, b] = _integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n,
-                                      r2.min() == 0.0)
+        groups.append((2 * quad_n, np.flatnonzero(near), nodes(2 * quad_n)))
+    for n, rows, (x, y, dx, dy) in groups:
+        for i in rows:
+            cols = np.arange(p) if cells is None else np.flatnonzero(cells[i])
+            blocks, buf = _point_blocks(len(cols), 1, n, buf)
+            for b in blocks:
+                work = _offsets(x[i:i + 1], y[i:i + 1], pts[cols[b]], buf)
+                out[i, cols[b]] = _integrate(*work, dx[i:i + 1], dy[i:i + 1], q[i:i + 1], n,
+                                              work[2].min() == 0.0)[0]
     return out
 
 
@@ -494,16 +502,13 @@ def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     (row, point) pair.
 
     A pair whose point lies strictly outside the row's reach takes the
-    exact closed form, any other the quadrature on nodes from
-    boundary_nodes, drawn at quad_n for every row. As in _heater_rows, a
-    row doubles its nodes when any point, in its reach or not, lies within
-    two node spacings of them, so each in-reach pair is _heater_rows'
-    value bit for bit. The closed form walks the points in the
-    quadrature's blocks, and one buffer serves the doubling decision and
-    the integration, row by row over the row's in-reach points.
+    exact closed form, computed for every pair in the quadrature's point
+    blocks. _heater_rows then overwrites the in-reach pairs, given as its
+    mask, on nodes from boundary_nodes, drawn at quad_n for every row. Its
+    doubling looks at every point, in the row's reach or not, so each
+    in-reach pair is the unmasked quadrature's value bit for bit.
     """
     m, p = len(q), len(pts)
-    x, y, dx, dy = boundary_nodes((C, centers), quad_n)
     reach = np.abs(C).sum(axis=1)
     out = np.empty((m, p))
     inside = np.empty((m, p), dtype=bool)
@@ -514,23 +519,4 @@ def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
         np.logical_not(r2 > (reach * reach)[:, None], out=inside[:, b])
         with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
             out[:, b] = _exterior_rows(C, q, ox, r2)
-    quad = np.flatnonzero(inside.any(axis=1))
-    if not len(quad):
-        return out
-    x, y, dx, dy = (a[quad] for a in (x, y, dx, dy))
-    spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
-    blocks, buf = _point_blocks(p, len(quad), quad_n)
-    near = _near_rows(x, y, pts, (2.0 * spacing) ** 2, blocks, buf)
-    groups = [(quad[~near], quad_n, [a[~near] for a in (x, y, dx, dy)])]
-    if near.any():
-        groups.append((quad[near], 2 * quad_n,
-                       boundary_nodes((C[quad[near]], centers[quad[near]]), 2 * quad_n)))
-    for rows, n, (x, y, dx, dy) in groups:
-        for k, i in enumerate(rows):
-            cells = np.flatnonzero(inside[i])
-            blocks, buf = _point_blocks(len(cells), 1, n, buf)
-            for b in blocks:
-                work = _offsets(x[k:k + 1], y[k:k + 1], pts[cells[b]], buf)
-                out[i, cells[b]] = _integrate(*work, dx[k:k + 1], dy[k:k + 1], q[i:i + 1], n,
-                                              work[2].min() == 0.0)[0]
-    return out
+    return _heater_rows(partial(boundary_nodes, (C, centers)), q, pts, quad_n, inside, out)

@@ -293,7 +293,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _err("ladder", "expected an object")
     exponents = tuple(_numbers(ladder_raw.get("exponents", [-4, -3, -2, -1, 0]),
                                "ladder.exponents", integer=True))
-    base = float(_get_number(ladder_raw, "base", "ladder", default=5.0, positive=True))
+    base = float(_get_number(ladder_raw, "base", "ladder", default=5.0))
+    if base <= 1.0:  # the hotter chains need beta = base ** exponent < 1
+        _err("ladder.base", f"must exceed 1, got {base}")
     if exponents[-1] != 0 or any(a >= b for a, b in zip(exponents, exponents[1:])):
         _err("ladder.exponents", "must be strictly increasing and end at 0")
 
@@ -466,15 +468,19 @@ def _component_header(n_heaters: int):
     return [f"h{h + 1}_{name}" for h in range(n_heaters) for name in COMPONENT_NAMES]
 
 
+def _write_csv(path: str, rows: np.ndarray, head=()) -> None:
+    """The rows of head, then those of rows (n, k) as CSV, each value as
+    the shortest repr that reads back bitwise."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerows(head)
+        w.writerows(map(repr, row.tolist()) for row in rows)
+
+
 def write_samples(samples: np.ndarray, path: str) -> None:
     """Retained draws as CSV, one row per draw, full double precision."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    n_heaters = samples.shape[1] // BLOCK
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_component_header(n_heaters))
-        for row in samples:
-            w.writerow([repr(float(v)) for v in row])
+    _write_csv(path, samples, [_component_header(samples.shape[1] // BLOCK)])
 
 
 def read_samples(path: str) -> np.ndarray:
@@ -506,10 +512,7 @@ def read_samples(path: str) -> np.ndarray:
 def write_grid(grid: fieldmod.FieldGrid, path_csv: str):
     """Row-major grid CSV plus a .meta.json sidecar describing it."""
     ny, nx = grid.values.shape
-    with open(path_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in grid.values:
-            w.writerow([repr(float(v)) for v in row])
+    _write_csv(path_csv, grid.values)
     meta_path = path_csv[:-4] + ".meta.json" if path_csv.endswith(".csv") \
         else path_csv + ".meta.json"
     meta = {
@@ -537,6 +540,8 @@ _REPORT_KEYS = {
 
 def validate_report(doc: dict) -> None:
     """Check a report object against the documented schema; raises on error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"report: expected an object, got {type(doc).__name__}")
     for key, typ in _REPORT_KEYS.items():
         if key not in doc:
             raise ValueError(f"report.{key}: missing")
@@ -546,8 +551,10 @@ def validate_report(doc: dict) -> None:
         raise ValueError("report.acceptance_rates: missing")
     gmm = doc["gmm"]
     for key in ("weights", "means", "covariances"):
-        if key not in gmm:
-            raise ValueError(f"report.gmm.{key}: missing")
+        if not isinstance(gmm.get(key), list):
+            raise ValueError(f"report.gmm.{key}: expected a list")
+    _numbers(gmm["weights"], "report.gmm.weights")  # a ConfigError is a ValueError
+    _numbers(doc["best_mean"], "report.best_mean")
     k = len(gmm["weights"])
     if not (len(gmm["means"]) == len(gmm["covariances"]) == k):
         raise ValueError("report.gmm: component counts disagree")

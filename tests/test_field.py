@@ -375,8 +375,9 @@ def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
     rows, counts = _assert_blocking_changes_no_byte(
         monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, quad_n=64))
     assert counts[64] == counts[128] == 1
-    # a sweep-sized call fits in one block: one coarse and one doubled offset block
-    assert counts["offsets"] == 2
+    # a sweep-sized call fits in one block: one coarse offset block, then
+    # one block for each of the two doubled rows
+    assert counts["offsets"] == 3
     for i in range(len(q)):
         alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])],
                              INSIDE, quad_n=64)
@@ -390,6 +391,46 @@ def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
 def _quadrature(C, centers, q, pts, quad_n):
     """The boundary-integral rows (m, p) of heaters C (m, J), centers (m, 2), q (m,)."""
     return fieldmod._heater_rows(partial(node_rows, C, centers), q, pts, quad_n)
+
+
+@pytest.mark.parametrize("budget", [1 << 16, 1 << 12, 1])
+def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
+    # row 0 is the heart at (0.5, 0.43), whose only points within two node
+    # spacings (0.11 at 64 nodes) are two sensors, both unmarked; row 1 has
+    # no marked pair; every other point lies at least 0.14 from every boundary
+    C = np.array([[0.28, 0.14], [0.28, 0.14], [0.2, 0.0], [0.28, 0.14]])
+    centers = np.array([[0.5, 0.43], [-0.3, 0.9], [-0.6, 0.6], [0.5, 0.9]])
+    q = np.array([1.0, 1.5, 2.0, 2.5])
+    full = _quadrature(C, centers, q, INSIDE, 64)
+    x, y, _, _ = node_rows(C, centers, 64)
+    gap = np.hypot(x[:, :, None] - INSIDE[:, 0], y[:, :, None] - INSIDE[:, 1]).min(axis=1)
+    close = gap[0] < 0.11
+    assert np.count_nonzero(close) == 2 and gap[1:].min() > 0.13
+    cells = np.random.default_rng(25).random(full.shape) < 0.6
+    cells[0], cells[1] = ~close, False
+    out = np.random.default_rng(26).standard_normal(full.shape)
+    before = out.copy()
+    asked, offset_rows = [], []
+    real = fieldmod._offsets
+
+    def recorded(x, y, pts, buf):
+        offset_rows.extend(zip(x[:, 0], y[:, 0]))
+        return real(x, y, pts, buf)
+    monkeypatch.setattr(fieldmod, "_offsets", recorded)
+    monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
+
+    def nodes(n):
+        asked.append(n)
+        return node_rows(C, centers, n)
+    got = fieldmod._heater_rows(nodes, q, INSIDE, 64, cells, out)
+    assert got is out
+    # the marked pairs are the unmasked call's bit for bit, row 0 doubled
+    # although none of its marked points is near; the others keep their values
+    assert out[cells].tobytes() == full[cells].tobytes()
+    assert out[~cells].tobytes() == before[~cells].tobytes()
+    assert asked == [64, 128]
+    # row 1 gets no offsets, neither for the doubling decision nor to integrate
+    assert offset_rows and (x[1, 0], y[1, 0]) not in offset_rows
 
 
 def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):

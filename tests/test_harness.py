@@ -352,6 +352,9 @@ BAD_CONFIGS = {
     "fractional_gmm_k": ({**MINIMAL, "gmm_k": 2.7}, [], "config.gmm_k"),
     "fractional_exponent": ({**MINIMAL, "ladder": {"exponents": [-4.5, -1.2, 0]}}, [],
                             r"ladder.exponents\[0\]"),
+    # 0.5 ** -2000 overflows; any base <= 1 leaves the hotter chains untempered
+    "low_base": ({**MINIMAL, "ladder": {"exponents": [-2000, 0], "base": 0.5}}, [],
+                 "ladder.base"),
 }
 
 
@@ -365,6 +368,35 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, case):
     assert len(err) == 1
     assert re.match(rf"error: {field_path}: ", err[0])
     assert not os.path.exists(tmp_path / "o")
+
+
+def _damaged_root(doc):
+    return 3
+
+
+def _string_weight(doc):
+    doc["gmm"]["weights"][0] = "a"
+    return doc
+
+
+def _object_in_best_mean(doc):
+    doc["best_mean"][0] = {}
+    return doc
+
+
+@pytest.mark.parametrize("damage", [_damaged_root, _string_weight, _object_in_best_mean])
+def test_cli_grid_rejects_a_malformed_report(tmp_path, capsys, damage):
+    grid = {"region": [-1, 1, 0, 1.5], "resolution": [4, 3]}
+    doc = damage(run_experiment(_tiny_config(grid=grid), progress=None).to_dict())
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    cfg = _write_cfg(tmp_path, {**MINIMAL, "grid": grid})
+    out = tmp_path / "o"
+    rc = cli.main(["grid", "--config", cfg, "--out", str(out), "--report", str(report)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: report")
+    assert not os.path.exists(out)
 
 
 def test_cli_grid_below_the_wall_fails_before_sampling(tmp_path, capsys):
