@@ -53,6 +53,9 @@ def _cmd_grid(args) -> int:
         with open(args.report) as fh:
             doc = json.load(fh)
         harness.validate_report(doc)
+        if len(doc["best_mean"]) != config.spec.dim:
+            raise ValueError(f"report.best_mean: expected {config.spec.dim} values, "
+                             f"got {len(doc['best_mean'])}")
         states = np.asarray(doc["best_mean"], dtype=float)
         tag = "best"
     else:

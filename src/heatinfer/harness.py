@@ -545,7 +545,7 @@ def validate_report(doc: dict) -> None:
     for key, typ in _REPORT_KEYS.items():
         if key not in doc:
             raise ValueError(f"report.{key}: missing")
-        if not isinstance(doc[key], typ):
+        if not isinstance(doc[key], typ) or (typ is int and isinstance(doc[key], bool)):
             raise ValueError(f"report.{key}: expected {typ.__name__}")
     if "acceptance_rates" not in doc:
         raise ValueError("report.acceptance_rates: missing")

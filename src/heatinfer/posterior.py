@@ -52,20 +52,47 @@ class PcaReport:
     max_direction: np.ndarray  # (dim,) unit vector
 
 
-def _log_densities(xt: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                   diff: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Normal log densities (k, n) of the columns of xt (dim, n) under k
-    components, whitened by inverse Cholesky factors one component at a
-    time in the (dim, n) buffers diff and work: no k * dim * n array."""
+def _coefficients(means: np.ndarray, covs: np.ndarray, log_weights: np.ndarray,
+                  upper: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rows (k, p) that turn moment features into weighted log densities.
+
+    For a point x relative to an origin, the features are the products
+    x_i x_j for (i, j) in upper (np.triu_indices(dim)), then x, then 1, and
+    means are relative to the same origin. With precision P = L^-T L^-1
+    from the Cholesky factor L of each covariance, a row holds -P_ij / 2
+    on the diagonal and -P_ij above it, then P m, then
+    -(m^T P m + logdet + dim log 2 pi) / 2 + log w, so row . features is
+    log w + log N(x; m, cov).
+    """
+    dim = means.shape[1]
     chol = np.linalg.cholesky(covs)
     inv = np.linalg.inv(chol)
-    out = np.empty((len(means), xt.shape[1]))
-    for j in range(len(means)):
-        np.subtract(xt, means[j][:, None], out=diff)
-        np.matmul(inv[j], diff, out=work)
-        out[j] = np.einsum("dn,dn->n", work, work)
+    z = np.matmul(inv, means[:, :, None])
+    prec = np.matmul(inv.transpose(0, 2, 1), inv)
+    iu, ju = upper
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return -0.5 * (out + (logdet + xt.shape[0] * np.log(2.0 * np.pi))[:, None])
+    const = -0.5 * (np.sum(z[:, :, 0] ** 2, axis=1) + logdet + dim * np.log(2.0 * np.pi))
+    return np.concatenate([np.where(iu == ju, -0.5, -1.0) * prec[:, iu, ju],
+                           np.matmul(inv.transpose(0, 2, 1), z)[:, :, 0],
+                           (const + log_weights)[:, None]], axis=1)
+
+
+def _features(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moment features (p, n) of the sample rows centred on their mean,
+    p = dim (dim + 1) / 2 + dim + 1, laid out as _coefficients expects;
+    returns (features, mean)."""
+    n, dim = samples.shape
+    tri = dim * (dim + 1) // 2
+    origin = samples.mean(axis=0)
+    feats = np.empty((tri + dim + 1, n))
+    xt = feats[tri:tri + dim]
+    np.subtract(samples.T, origin[:, None], out=xt)
+    row = 0
+    for i in range(dim):
+        np.multiply(xt[i], xt[i:], out=feats[row:row + dim - i])
+        row += dim - i
+    feats[-1] = 1.0
+    return feats, origin
 
 
 def _kmeanspp_seeds(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -90,7 +117,10 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
     Stops when the total log likelihood of all rows (loglik_path) improves
     by less than tol or after max_iters iterations. A component that loses
     all responsibility is reseeded once at the sample the mixture explains
-    worst, then dropped (weights renormalized) if it empties again.
+    worst, then dropped (weights renormalized) if it empties again. The
+    moment features of the centred samples are built once (_features), so
+    an iteration is two matrix products over them: the log responsibilities
+    of all components, then their weighted counts, first and second moments.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
@@ -102,25 +132,32 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
         raise InsufficientSamplesError(f"need at least {10 * k} samples for k={k}, got {n}")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    means = _kmeanspp_seeds(samples, k, rng)
+    feats, origin = _features(samples)
+    tri = dim * (dim + 1) // 2
+    upper = iu, ju = np.triu_indices(dim)
+    means = _kmeanspp_seeds(samples, k, rng) - origin
     base_cov = np.cov(samples.T).reshape(dim, dim) + COV_FLOOR * np.eye(dim)
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     reseeded = np.zeros(k, dtype=bool)
-    xt = np.ascontiguousarray(samples.T)
-    diff, work = np.empty_like(xt), np.empty_like(xt)
+    buf = np.empty((k, n))
 
     logliks = []
     prev = -np.inf
     for _ in range(max_iters):
-        log_resp = _log_densities(xt, means, covs, diff, work)
-        log_resp += np.log(weights)[:, None]
-        log_norm = _logsumexp(log_resp, axis=0)
+        resp = buf[:len(weights)]
+        np.matmul(_coefficients(means, covs, np.log(weights), upper), feats, out=resp)
+        top = resp.max(axis=0)
+        resp -= top
+        np.exp(resp, out=resp)
+        total = resp.sum(axis=0)
+        resp /= total
+        log_norm = np.log(total) + top
         loglik = float(np.sum(log_norm))
         logliks.append(loglik)
-        resp = np.exp(log_resp - log_norm)
 
-        counts = resp.sum(axis=1)
+        moments = resp @ feats.T  # (k, p): sums of r x_i x_j, of r x, and of r
+        counts = moments[:, -1]
         empty = counts < 1e-10
         if np.any(empty):
             drop = []
@@ -129,7 +166,7 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
                     drop.append(j)
                 else:
                     reseeded[j] = True
-                    means[j] = xt[:, int(np.argmin(log_norm))]
+                    means[j] = feats[tri:tri + dim, int(np.argmin(log_norm))]
                     covs[j] = base_cov
                     counts[j] = 1.0
             keep = np.setdiff1d(np.arange(len(weights)), drop)
@@ -139,34 +176,32 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
             continue
 
         weights = counts / n
-        means = (resp @ samples) / counts[:, None]
-        for j in range(len(weights)):
-            np.subtract(xt, means[j][:, None], out=diff)
-            np.multiply(diff, resp[j], out=work)
-            covs[j] = work @ diff.T / counts[j]
-            covs[j] += COV_FLOOR * np.eye(dim)
+        means = moments[:, tri:tri + dim] / counts[:, None]
+        second = moments[:, :tri] / counts[:, None]
+        covs = np.empty((len(weights), dim, dim))
+        covs[:, iu, ju] = second
+        covs[:, ju, iu] = second
+        covs -= means[:, :, None] * means[:, None, :]
+        covs += COV_FLOOR * np.eye(dim)
 
         if loglik - prev < tol:
             break
         prev = loglik
 
-    return GaussianMixture(weights, means, covs, np.asarray(logliks))
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+    return GaussianMixture(weights, means + origin, covs, np.asarray(logliks))
 
 
 def gmm_density(gmm: GaussianMixture, x) -> float:
-    """Mixture density at a point, computed through log-sum-exp."""
-    xt = np.asarray(x, dtype=float)[:, None]
+    """Mixture density at a point, computed through log-sum-exp.
+
+    With the point itself as the origin every feature but the constant
+    is zero, so each log density is the constant coefficient, formed
+    from mean - x with no cancellation."""
     keep = gmm.weights > 0.0
-    logs = np.log(gmm.weights[keep]) + _log_densities(
-        xt, gmm.means[keep], gmm.covariances[keep], np.empty_like(xt), np.empty_like(xt))[:, 0]
-    return float(np.exp(_logsumexp(logs, axis=0)))
+    means = gmm.means[keep] - np.asarray(x, dtype=float)
+    logs = _coefficients(means, gmm.covariances[keep], np.log(gmm.weights[keep]),
+                         np.triu_indices(means.shape[1]))[:, -1]
+    return float(np.exp(np.logaddexp.reduce(logs)))
 
 
 def best_component(gmm: GaussianMixture, target) -> int:

@@ -99,7 +99,8 @@ def _log_normal_pdf(x, mean, cov):
 def em_mixture(samples, k, max_iters=200, tol=1e-8, rng=None):
     """Per-component EM with the samples as rows, one np.linalg.solve per
     component and iteration: the fit that heatinfer.posterior.fit_gmm
-    replaced with whitening by inverse factors.
+    replaced, first with whitening by inverse factors, then with two
+    matrix products per iteration over fixed moment features.
 
     Same k-means++ start, reseed-then-drop rule and stop rule; returns
     (weights, means, covariances, loglik_path).

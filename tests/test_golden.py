@@ -28,6 +28,16 @@ pair outside the heater's reach in place of the quadrature: the largest
 change, 3.4e-6 of max|T| (single_heater's truth grid), sits at cells just
 outside the reach next to the boundary, where the quadrature had been off
 by that much. samples.csv, report.json and the meta files did not move.
+The report.json and best_grid.csv hashes were re-recorded when the EM
+iteration switched to two matrix products over moment features built
+once per fit (the products x_i x_j, x and 1 of the centred draws): the
+fitted weights, means and covariances moved by at most 8.8e-14 relative
+to each field's largest entry, and the best grids by at most 1.5e-14 of
+max|T|. In two_heaters_wall the two eigenvectors that share the floor
+eigenvalue turned by 0.048 rad within their plane. best_index and the EM
+iteration counts did not change; samples.csv, the truth grids and the
+meta files did not move, and the hashes are the same with one BLAS
+thread and with the default thread count.
 The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
 numpy or BLAS build may round differently and must re-record them from a
 known-good commit.
@@ -46,33 +56,33 @@ SCHEDULE = {"phase1_steps": 200, "phase2_steps": 1000, "thin": 1}
 
 GOLDEN = {
     "single_heater": {
-        "best_grid.csv": "aa4e91949c9c01504fbf1e1c6b0a7a0cef76bbb88888b091974795bece11389c",
+        "best_grid.csv": "534c18ede0f0ed89e7089b84a4d97dd623e50af5ea6582a2183eb1c6a73d3e98",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "c5d79f90c0d28a1373e4e47f6c4c561032b68aaff178a6465769f22053200061",
+        "report.json": "084313baa151aa8792774b2f2180075c91762b3bdac02cc93d02cb7fa3c73832",
         "samples.csv": "3b881b745df5d2908c372456cd6a58c267bc61c371603c77a9eb74756934aab9",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "single_heater_ladder": {
-        "best_grid.csv": "1268b870abc5f76f67d88c0216d7b36cd8d13b4913c27cf1eb3a378827787bf6",
+        "best_grid.csv": "5e96802ad18cccfa0183d2b7942849a898cb5d8da4a9375ae23a68c74c3a6711",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "e0a77a5ba29496fddb442ee09cd5cccc5db5a6c01a7f56f540d5a548714d97bb",
+        "report.json": "14b50329a94d9bc882c7772577ba579a6122702b341b2928f3c113361c8c58de",
         "samples.csv": "fbadc9b876ecf829b74193f6b5c119a902c78859a24dac34be3e6a1f310c7132",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "two_heaters": {
-        "best_grid.csv": "0c05ba76360a71cbb99af5bdb4312ef64f656f7b19b9ba4dbd274a4b5e0c3bfa",
+        "best_grid.csv": "75b470ecceb3ae6dae856d73a3048dbad44ef511bda0d80d8263cb9ac7d91746",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "db8aeb065e0da1959f468aa954079fbc45fc85de35619c29d3253162d12939dd",
+        "report.json": "78e33c5741aa9cafaf79e85f46a0bc972b89b39a740e9147163e28e19480c692",
         "samples.csv": "c8903195feea6e2b9fec9b8512154abfdff63e63965727f79d9903910d710a91",
         "truth_grid.csv": "08fed5c6088def6bc403b99cfa53a7a1df85f5f3f65a73c7f2e686c04dde490d",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
     },
     "two_heaters_wall": {
-        "best_grid.csv": "dfb4b69d3190594fb96d4996a179015b7678d777af335ce9615710a2c686fc45",
+        "best_grid.csv": "edef61868463edd7ad6d3e52ddd7c9fffbc20e0caee7d1f9fafa9a43ec3fcee3",
         "best_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
-        "report.json": "1604c9caf4d0ce05953620f3e71bbabf4bc59586a185b4826082b3bb24a7bb9f",
+        "report.json": "88f47750346e3cf6d58be23139244f3bce53f998d872ef1caf881c4d317d4ff5",
         "samples.csv": "931457a0cb6324634be0b288bea7306163ec993c8a45a21c5514467e5caf7a87",
         "truth_grid.csv": "e58627c681a6b037f3620b6dcec84144030daa7f5ff81082436a3ec28a770081",
         "truth_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",

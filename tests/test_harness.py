@@ -384,7 +384,18 @@ def _object_in_best_mean(doc):
     return doc
 
 
-@pytest.mark.parametrize("damage", [_damaged_root, _string_weight, _object_in_best_mean])
+def _boolean_best_index(doc):
+    doc["best_index"] = True
+    return doc
+
+
+def _short_best_mean(doc):
+    doc["best_mean"] = doc["best_mean"][:1]
+    return doc
+
+
+@pytest.mark.parametrize("damage", [_damaged_root, _string_weight, _object_in_best_mean,
+                                    _boolean_best_index, _short_best_mean])
 def test_cli_grid_rejects_a_malformed_report(tmp_path, capsys, damage):
     grid = {"region": [-1, 1, 0, 1.5], "resolution": [4, 3]}
     doc = damage(run_experiment(_tiny_config(grid=grid), progress=None).to_dict())

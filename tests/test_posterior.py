@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_mixture_validation():
                         np.repeat(np.eye(1)[None], 2, axis=0))
 
 
-# --- the whitened EM against the per-component solve it replaced ---
+# --- the moment-feature EM against the per-component solve it replaced ---
 
 def _assert_same_fit(gmm, oracle, rtol):
     """Same component count and iterations; log likelihoods and weights
@@ -204,8 +206,8 @@ def test_em_matches_solve_oracle_through_a_reseed_and_drop():
     # all responsibility, is reseeded at the worst-explained sample (the log
     # likelihood drops), empties again and is dropped. Seed 6 is the first of
     # seeds 0-199 to take this branch (17 do). The pooled start covariance
-    # has a condition number of 2.5e8, and whitening by an inverse factor
-    # and solving by the factor part by up to cond * eps per iteration.
+    # has a condition number of 2.5e8, and a precision built from an inverse
+    # factor and solving by the factor part by up to cond * eps per iteration.
     rng = np.random.default_rng(0)
     samples = np.vstack([rng.normal(-1.0, 1e-3, (50, 2)), rng.normal(1.0, 1e-3, (50, 2)),
                          [[100.0, 100.0]]])
@@ -214,3 +216,41 @@ def test_em_matches_solve_oracle_through_a_reseed_and_drop():
     oracle = em_mixture(samples, 5, rng=np.random.default_rng(6))
     cond = np.linalg.cond(np.cov(samples.T) + COV_FLOOR * np.eye(2))
     _assert_same_fit(gmm, oracle, len(oracle[3]) * cond * np.finfo(float).eps)
+
+
+def _run_like_draws(seed):
+    """2,500 draws in the layout of a two-heater run with c1 and c2 known:
+    x0, y0, q spread with a y0-q correlation of 0.8 per heater, the c1 and
+    c2 columns exactly constant."""
+    truth = np.array([0.5, 0.8, 1.0, 0.28, 0.14, -0.6, 0.6, 2.0, 0.2, 0.0])
+    free = [0, 1, 2, 5, 6, 7]
+    corr = np.eye(6)
+    corr[[1, 4], [2, 5]] = corr[[2, 5], [1, 4]] = 0.8
+    scales = np.tile([0.02, 0.03, 0.05], 2)
+    samples = np.tile(truth, (2500, 1))
+    samples[:, free] = np.random.default_rng(seed).multivariate_normal(
+        truth[free], corr * np.outer(scales, scales), 2500)
+    return samples
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42])
+def test_em_matches_solve_oracle_with_known_columns(seed):
+    samples = _run_like_draws(seed)
+    gmm = fit_gmm(samples, 5, rng=np.random.default_rng(seed + 100))
+    oracle = em_mixture(samples, 5, rng=np.random.default_rng(seed + 100))
+    _assert_same_fit(gmm, oracle, 1e-10)
+
+
+def test_fit_memory_stays_near_the_feature_array():
+    # the EM holds one (p, n) array of moment features, p = dim (dim + 1) / 2
+    # + dim + 1, and a few (k, n) and (n,) arrays: no (k, dim, n) array
+    samples = _run_like_draws(40)
+    n, dim = samples.shape
+    feature_bytes = (dim * (dim + 1) // 2 + dim + 1) * n * 8
+    tracemalloc.start()
+    try:
+        fit_gmm(samples, 5, rng=np.random.default_rng(140))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * feature_bytes
