@@ -16,12 +16,13 @@ pi delta_nm / (n + 1), then gives the exact closed form
     g_0 = log|p'|,
     g_n = (sum_{k=1}^{n-1} (n-k) c_k g_{n-k} - n c_n) / (n p').
 
-Each g_n (n >= 1) is a polynomial in 1/p' whose coefficients depend on the
-shape alone, so a row costs one log and J - 1 powers of 1/p' per point.
 For J = 2 this is the exact monopole plus dipole about the center,
--(q/2) [(c1^2 + 2 c2^2) log|p'| - c1^2 c2 Re(1/p')]. A polynomial map
-counts overlap multiplicity the way the boundary integral counts winding
-number, so self-overlapping shapes (c1 < 2|c2|) agree too.
+-(q/2) [(c1^2 + 2 c2^2) log|p'| - c1^2 c2 Re(1/p')]: one log and one
+division per point, and the only J a config can state. Any other J runs
+the recursion in complex arithmetic from 1/p' = conj(p') / |p'|^2: one
+log, one complex division and O(J^2) complex products per point. A
+polynomial map counts overlap multiplicity the way the boundary integral
+counts winding number, so self-overlapping shapes (c1 < 2|c2|) agree too.
 
 A heater row whose points all lie outside its reach takes the closed
 form, and every other row goes through the quadrature; field_grid makes
@@ -229,51 +230,30 @@ def _near_rows(x, y, pts: np.ndarray, limit: np.ndarray, blocks, buf) -> np.ndar
     return closest < limit
 
 
-def _exterior_terms(C: np.ndarray):
-    """Shape-only coefficients of the closed form for the rows of C (m, J).
-
-    Returns w_0 (m,) and beta_1 .. beta_{J-1}, each (m,), such that
-    sum_d w_d Re g_d = w_0 log|p'| + sum_j beta_j Re (1/p')^j. The g_d
-    (d >= 1) are the Taylor coefficients of log(1 - f(w)/p') with
-    f(w) = sum_k c_k w^k, so g_d = -sum_{j=1}^{d} [w^d] f(w)^j / (j p'^j)
-    and beta_j = -(1/j) sum_{d=j}^{J-1} w_d [w^d] f(w)^j.
-    """
+def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
+    """Closed-form temperatures (m, p) of one heater per row, at points
+    whose offsets p' = dx + i dy (m, p) from the row's center, of squared
+    length r2, all lie outside the row's reach: the module docstring's sum."""
     J = C.shape[1]
-    if J == 2:  # the sampler's every row: w_0 = c1^2 + 2 c2^2, beta_1 = -c1^2 c2
+    if J == 2:  # the sampler's every row: w_0 = c1^2 + 2 c2^2, w_1 Re g_1 = -c1^2 c2 Re(1/p')
         c1, c2 = C[:, 0], C[:, 1]
-        return c1 * c1 + c2 * 2.0 * c2, (-(c1 * c2 * c1),)
+        acc = (c1 * c1 + c2 * 2.0 * c2)[:, None] * (0.5 * np.log(r2))
+        acc += (-(c1 * c2 * c1))[:, None] * (dx / r2)
+        return -0.5 * q[:, None] * acc
     c = C.T  # c[k - 1] is c_k
     kc = c * np.arange(1.0, J + 1.0)[:, None]
     w = kc[0] * c  # w[d] = sum_j j c_j c_{j+d}, accumulated over j
     for j in range(1, J):
         w[:J - j] += kc[j] * c[j:]
-    fj = c[:-1]  # fj[d - 1] = [w^d] f(w)^j for d = 1 .. J-1, from j = 1
-    beta = []
-    for j in range(1, J):
-        bj = w[j] * fj[j - 1]
-        for d in range(j + 1, J):
-            bj += w[d] * fj[d - 1]
-        beta.append(bj / -j)
-        if j + 1 < J:  # multiply by f once more
-            nxt = np.zeros_like(fj)
-            for k in range(1, J - 1):
-                nxt[k:] += c[k - 1] * fj[:J - 1 - k]
-            fj = nxt
-    return w[0], beta
-
-
-def _exterior_rows(C, q, dx, r2) -> np.ndarray:
-    """Closed-form temperatures (m, p) of one heater per row, at points
-    whose offsets p' from the row's center have real part dx and squared
-    length r2, both (m, p), all outside the row's reach."""
-    w0, beta = _exterior_terms(C)
-    # Re (1/p')^j: with s = 1/p', s^(j+1) = 2 Re(s) s^j - |s|^2 s^(j-1)
-    powers = [1.0, dx / r2]
-    for j in range(2, len(beta) + 1):
-        powers.append(2.0 * powers[1] * powers[j - 1] - powers[j - 2] / r2)
-    acc = w0[:, None] * (0.5 * np.log(r2))
-    for j, bj in enumerate(beta, start=1):
-        acc += bj[:, None] * powers[j]
+    s = (dx - 1j * dy) / r2  # 1/p'
+    g = [0.5 * np.log(r2)]
+    acc = w[0][:, None] * g[0]
+    for n in range(1, J):
+        gn = -n * c[n - 1][:, None]
+        for k in range(1, n):
+            gn = gn + (n - k) * c[k - 1][:, None] * g[n - k]
+        g.append(gn * s / n)
+        acc += w[n][:, None] * g[n].real
     return -0.5 * q[:, None] * acc
 
 
@@ -293,10 +273,10 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     reach = np.abs(C).sum(axis=1)
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
-        return _exterior_rows(C, q, dx, r2)
+        return _exterior_rows(C, q, dx, dy, r2)
     # every row takes the closed form; rows with a point inside the reach overwrite it
     with np.errstate(all="ignore"):
-        out = _exterior_rows(C, q, dx, r2)
+        out = _exterior_rows(C, q, dx, dy, r2)
     quad = ~outside.all(axis=1)
     out[quad] = _heater_rows(partial(node_rows, C[quad], centers[quad]), q[quad], pts, quad_n)
     return out
@@ -518,5 +498,5 @@ def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
         r2 = ox * ox + oy * oy
         np.logical_not(r2 > (reach * reach)[:, None], out=inside[:, b])
         with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
-            out[:, b] = _exterior_rows(C, q, ox, r2)
+            out[:, b] = _exterior_rows(C, q, ox, oy, r2)
     return _heater_rows(partial(boundary_nodes, (C, centers)), q, pts, quad_n, inside, out)

@@ -14,7 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,11 +25,6 @@ from .bayes import (BLOCK, COMPONENT_NAMES, DEFAULT_BLOCK_BOUNDS, Observation,
 from .field import SensorArray, Wall, field_grid
 from .posterior import PcaReport, best_component, fit_gmm, pca
 from .sampler import ChainLadder, McmcSchedule
-
-# desk-scale production phase used when a config gives no schedule; the
-# full half-million-step schedule stays available explicitly
-DESK_PHASE2_STEPS = 50_000
-DESK_THIN = 10
 
 _SYNTH_STREAM = 0x5E1D
 _GMM_STREAM = 0x6334
@@ -125,6 +120,13 @@ def _numbers(v, path: str, length: int | None = None, integer=False) -> list:
     return [_number(e, f"{path}[{i}]", integer) for i, e in enumerate(v)]
 
 
+def _check_keys(d: dict, path: str, keys):
+    """Reject a key of d that is not among keys, so a misspelt one fails early."""
+    for k in d:
+        if k not in keys:
+            _err(path, f"unknown key {k!r}")
+
+
 def _get_number(d: dict, key: str, path: str, default=None, positive=False,
                 nonnegative=False, integer=False):
     if key not in d and default is None:
@@ -153,6 +155,7 @@ def _parse_truth(raw, path="truth") -> np.ndarray:
         p = f"{path}[{i}]"
         if not isinstance(item, dict):
             _err(p, "expected an object with x0, y0, q, c1, c2")
+        _check_keys(item, p, COMPONENT_NAMES)
         row = [_get_number(item, name, p) for name in COMPONENT_NAMES]
         if row[3] <= 0:
             _err(f"{p}.c1", f"must be positive, got {row[3]}")
@@ -163,6 +166,7 @@ def _parse_truth(raw, path="truth") -> np.ndarray:
 def _parse_sensors(raw, path="sensors"):
     if not isinstance(raw, dict):
         _err(path, "expected an object")
+    _check_keys(raw, path, ("points", "count", "range", "wall"))
     wall = Wall.ADIABATIC_Y0 if _get_flag(raw, "wall", path, False) else Wall.UNBOUNDED
     if "points" in raw:
         pts = raw["points"]
@@ -199,6 +203,7 @@ def _parse_estimator(raw, truth, path="estimator"):
     raw = raw or {}
     if not isinstance(raw, dict):
         _err(path, "expected an object")
+    _check_keys(raw, path, ("n_heaters", "half_plane", "bounds", "known", "known_var"))
     n_heaters = _get_number(raw, "n_heaters", path, default=len(truth), integer=True)
     if n_heaters < 1:
         _err(f"{path}.n_heaters", "must be >= 1")
@@ -243,6 +248,7 @@ def _parse_grid(raw, wall: Wall, path="grid"):
         return None
     if not isinstance(raw, dict):
         _err(path, "expected an object")
+    _check_keys(raw, path, ("region", "resolution"))
     region = _numbers(raw.get("region"), f"{path}.region", 4)
     res = _numbers(raw.get("resolution"), f"{path}.resolution", 2, integer=True)
     if not (region[0] < region[1] and region[2] < region[3]):
@@ -258,6 +264,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config object and apply defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object")
+    _check_keys(doc, "config", ("seed", "noise_sigma", "gmm_k", "quad_n", "truth", "sensors",
+                                "estimator", "schedule", "ladder", "grid"))
     seed = _get_number(doc, "seed", "config", default=0, nonnegative=True, integer=True)
     noise_sigma = float(_get_number(doc, "noise_sigma", "config", default=5e-4,
                                     nonnegative=True))
@@ -274,12 +282,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sched_raw = doc.get("schedule", {})
     if not isinstance(sched_raw, dict):
         _err("schedule", "expected an object")
-    defaults = (("phase1_steps", 10_000, int), ("phase1_var", 1e-4, float),
-                ("phase2_steps", DESK_PHASE2_STEPS, int), ("phase2_var", 2.5e-5, float),
-                ("burn_in_fraction", 0.5, float), ("thin", DESK_THIN, int),
-                ("swap_interval", 10, int))
-    sched = {key: kind(_get_number(sched_raw, key, "schedule", default, integer=kind is int))
-             for key, default, kind in defaults}
+    _check_keys(sched_raw, "schedule", [f.name for f in fields(McmcSchedule)])
+    sched = {f.name: f.type(_get_number(sched_raw, f.name, "schedule", f.default,
+                                        integer=f.type is int))
+             for f in fields(McmcSchedule)}
     try:
         schedule = McmcSchedule(**sched)
     except ValueError as e:
@@ -291,6 +297,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     ladder_raw = doc.get("ladder", {})
     if not isinstance(ladder_raw, dict):
         _err("ladder", "expected an object")
+    _check_keys(ladder_raw, "ladder", ("exponents", "base"))
     exponents = tuple(_numbers(ladder_raw.get("exponents", [-4, -3, -2, -1, 0]),
                                "ladder.exponents", integer=True))
     base = float(_get_number(ladder_raw, "base", "ladder", default=5.0))
@@ -325,7 +332,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "known": {str(i): list(mv) for i, mv in sorted(spec.known.items())},
             "half_plane": spec.half_plane,
         },
-        "schedule": sched,
+        "schedule": asdict(schedule),
         "ladder": {"exponents": list(exponents), "base": base},
         "grid": None if grid is None else {
             "region": list(grid.region), "resolution": list(grid.resolution)},

@@ -25,14 +25,19 @@ class InitializationError(ValueError):
 
 @dataclass
 class McmcSchedule:
-    """Two-phase run lengths, proposal variances, and retention policy."""
+    """Two-phase run lengths, proposal variances, and retention policy.
+
+    The defaults are the desk scale a config gets when it names no
+    schedule; the production scale (phase2_steps 500_000, thin 100)
+    retains the same 2,500 draws.
+    """
 
     phase1_steps: int = 10_000
     phase1_var: float = 1e-4
-    phase2_steps: int = 500_000
+    phase2_steps: int = 50_000
     phase2_var: float = 2.5e-5
     burn_in_fraction: float = 0.5
-    thin: int = 100
+    thin: int = 10
     swap_interval: int = 10
 
     def __post_init__(self):
@@ -59,7 +64,7 @@ class ChainLadder:
     hold one row per chain; betas[i] = base ** exponents[i] is computed
     once here and read by both the Metropolis and the exchange step.
     exponents must be strictly increasing and end at 0, so the last
-    chain is the cold one.
+    chain is the cold one, and base must exceed 1.
     """
 
     exponents: tuple
@@ -75,6 +80,8 @@ class ChainLadder:
         ex = tuple(int(p) for p in self.exponents)
         if ex[-1] != 0 or any(a >= b for a, b in zip(ex, ex[1:])):
             raise ValueError("exponents must be strictly increasing and end at 0")
+        if not self.base > 1.0:  # the hotter chains need beta = base ** exponent < 1
+            raise ValueError(f"base must exceed 1, got {self.base}")
         self.exponents = ex
         self.betas = np.array([self.base ** p for p in ex])
 

@@ -650,6 +650,20 @@ def test_closed_form_matches_dense_quadrature(monkeypatch, wall):
         monkeypatch.undo()
 
 
+def test_j2_rows_agree_with_the_general_recursion():
+    # the J = 2 lines and the recursion, on the same shape padded with
+    # c3 = 0, sum the same terms in a different order
+    rng = np.random.default_rng(25)
+    for c in [c for c in EXTERIOR_SHAPES if len(c) == 2]:
+        C = np.array([c])
+        center = rng.uniform(-1.0, 1.0, 2)
+        q = np.array([[rng.uniform(0.2, 3.0)]])
+        pts = _exterior_points(rng, C, center, Wall.UNBOUNDED)
+        two = temperature_rows(C[None], center[None, None], q, pts)[0]
+        padded = temperature_rows(np.array([[c + (0.0,)]]), center[None, None], q, pts)[0]
+        assert np.abs(padded - two).max() <= 4 * np.finfo(float).eps * np.abs(two).max(), c
+
+
 def test_closed_form_of_a_circle_is_the_exact_monopole():
     # the dense quadrature is itself off by up to 7e-10 near a circle
     rng = np.random.default_rng(22)
@@ -716,7 +730,7 @@ def _in_reach(C, centers, q, pts):
     r2 = dx * dx + dy * dy
     reach = np.abs(C).sum(axis=1)
     with np.errstate(all="ignore"):
-        return ~(r2 > (reach * reach)[:, None]), fieldmod._exterior_rows(C, q, dx, r2)
+        return ~(r2 > (reach * reach)[:, None]), fieldmod._exterior_rows(C, q, dx, dy, r2)
 
 
 @pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])

@@ -355,6 +355,20 @@ BAD_CONFIGS = {
     # 0.5 ** -2000 overflows; any base <= 1 leaves the hotter chains untempered
     "low_base": ({**MINIMAL, "ladder": {"exponents": [-2000, 0], "base": 0.5}}, [],
                  "ladder.base"),
+    # a misspelt key used to be ignored, leaving its default in force
+    "unknown_root_key": ({**MINIMAL, "estimator": {"know": ["c1", "c2"]},
+                          "schedul": {"phase2_steps": 1000},
+                          "sensors": {"count": 3, "walls": True}}, [], "config"),
+    "unknown_estimator_key": ({**MINIMAL, "estimator": {"know": ["c1", "c2"]}}, [],
+                              "estimator"),
+    "unknown_sensors_key": ({**MINIMAL, "sensors": {"count": 3, "walls": True}}, [],
+                            "sensors"),
+    "unknown_truth_key": ({**MINIMAL, "truth": [{**MINIMAL["truth"][0], "c3": 0.1}]}, [],
+                          r"truth\[0\]"),
+    "unknown_schedule_key": ({**MINIMAL, "schedule": {"phase2_step": 1000}}, [], "schedule"),
+    "unknown_ladder_key": ({**MINIMAL, "ladder": {"bases": 4.0}}, [], "ladder"),
+    "unknown_grid_key": ({**MINIMAL, "grid": {"region": [-1, 1, 0, 1], "resolution": [4, 3],
+                                              "res": 2}}, [], "grid"),
 }
 
 
@@ -367,6 +381,8 @@ def test_cli_bad_config_is_one_error_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert re.match(rf"error: {field_path}: ", err[0])
+    if case.startswith("unknown_"):
+        assert re.search(r": unknown key '\w+'$", err[0])
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -278,6 +278,9 @@ def test_ladder_validation():
         ChainLadder.create(BOX1, 0, exponents=(0, 1))
     with pytest.raises(ValueError):
         ChainLadder.create(BOX1, 0, exponents=(-1, -1, 0))
+    for base in (0.5, 1.0, float("nan")):  # betas [4, 2, 1] at 0.5: hot chains colder
+        with pytest.raises(ValueError, match="base"):
+            ChainLadder.create(BOX1, 0, exponents=(-2, -1, 0), base=base)
     ladder = ChainLadder.create(BOX3, 0)
     assert ladder.n_chains == 5
     np.testing.assert_allclose(ladder.betas, 5.0 ** np.arange(-4.0, 1.0))
