@@ -24,29 +24,28 @@ log, one complex division and O(J^2) complex products per point. A
 polynomial map counts overlap multiplicity the way the boundary integral
 counts winding number, so self-overlapping shapes (c1 < 2|c2|) agree too.
 
-A heater row whose points all lie outside its reach takes the closed
-form, and every other row goes through the quadrature; field_grid makes
-the same choice per heater and cell, so only its cells inside a heater's
-reach run the quadrature. The area integral reduces to a boundary
-integral through the divergence identity div F = log|rho| with
-F(rho) = rho * (2*log|rho| - 1) / 4, evaluated by the trapezoidal rule
-on the Fourier parameterization of the boundary. For a closed smooth
-boundary and an evaluation point off the curve the rule converges
-spectrally, so quad_n = 256 already gives near machine accuracy away from
-the boundary.
+Every (heater, point) pair whose point lies outside the heater's reach
+takes the closed form, whatever other points are evaluated with it; only
+the pairs inside the reach go through the quadrature. The area integral
+reduces to a boundary integral through the divergence identity
+div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4, evaluated by
+the trapezoidal rule on the Fourier parameterization of the boundary.
+For a closed smooth boundary and an evaluation point off the curve the
+rule converges spectrally, so quad_n = 256 already gives near machine
+accuracy away from the boundary.
 
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
 below the wall, making the field even in y and its normal derivative
 zero on the wall. Image rows choose between the closed form and the
-quadrature by the same rule.
+quadrature by the same per-pair rule.
 
 Memory: the quadrature walks the points in blocks whose (rows, points,
 nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
 work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
 number of points, unless a single point times the rows times the nodes
-already exceeds the budget. field_grid's closed form walks the same
-blocks. The blocks change no value.
+already exceeds the budget. The closed form of a call with an in-reach
+pair walks the same blocks. The blocks change no value.
 """
 
 import enum
@@ -156,25 +155,23 @@ def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
     return -q[:, None] / (8.0 * np.pi) * rhox.sum(axis=2) * (2.0 * np.pi / n)
 
 
-def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells=None, out=None) -> np.ndarray:
-    """Boundary-integral temperatures (m, p) of one heater per row at pts (p, 2).
+def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells, out) -> np.ndarray:
+    """Boundary-integral temperatures of one heater per row at pts (p, 2),
+    written into out (m, p) at the pairs that cells (m, p) marks; returns out.
 
     nodes(n) returns the rows' boundary samples and tangents (x, y, dx,
     dy), each (m, n); q holds the rows' strengths (m,). Accuracy near the
     boundary degrades with node spacing, so a row's nodes are doubled
     once when any point lies within two node spacings of its boundary.
+    Doubling looks at every point, marked or not, so a marked pair's value
+    does not depend on which other pairs are marked.
 
-    cells (m, p), if given, marks the pairs to integrate: only they are
-    written, into out (m, p) if given, and a row with no marked pair gets
-    no offsets. Doubling still looks at every point, so each marked pair
-    is the unmasked value bit for bit.
-
-    An unmasked call that fits in one block of at most _BLOCK_ELEMS
-    elements per work array computes its offsets once: they decide the
-    doubling and integrate every row. Any other call asks _near_rows about
-    the rows with a marked pair (every row, unmasked). Each row left to
-    integrate, doubled or not, then walks its marked points on its own,
-    block by block in one buffer. No path changes a value.
+    A call that fits in one block of at most _BLOCK_ELEMS elements per
+    work array computes its offsets once: they decide the doubling and
+    integrate the rows that keep quad_n nodes. Any other call asks
+    _near_rows. Each doubled row (and, in the blocked call, every row)
+    then walks its marked points on its own, block by block in one
+    buffer. No path changes a value.
     """
     m, p = len(q), len(pts)
     x, y, dx, dy = nodes(quad_n)
@@ -182,26 +179,23 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells=None, out=None) -
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
     limit = (2.0 * spacing) ** 2
     blocks, buf = _point_blocks(p, m, quad_n)
-    if cells is None and out is None and len(blocks) == 1:
+    if len(blocks) == 1:
         work = _offsets(x, y, pts, buf)
         closest = work[2].min(axis=(1, 2))
         near = closest < limit
-        out = np.empty((m, p)) if near.all() else _integrate(*work, dx, dy, q, quad_n,
-                                                             closest.min() == 0.0)
+        if not near.all():
+            np.copyto(out, _integrate(*work, dx, dy, q, quad_n, closest.min() == 0.0),
+                      where=cells & ~near[:, None])
         coarse = ()
     else:
-        marked = np.ones(m, dtype=bool) if cells is None else cells.any(axis=1)
-        near = np.zeros(m, dtype=bool)
-        near[marked] = _near_rows(x[marked], y[marked], pts, limit[marked],
-                                  *_point_blocks(p, np.count_nonzero(marked), quad_n, buf))
-        coarse = np.flatnonzero(marked & ~near)
-        out = np.empty((m, p)) if out is None else out
+        near = _near_rows(x, y, pts, limit, blocks, buf)
+        coarse = np.flatnonzero(~near)
     groups = [(quad_n, coarse, (x, y, dx, dy))]
     if near.any():
         groups.append((2 * quad_n, np.flatnonzero(near), nodes(2 * quad_n)))
     for n, rows, (x, y, dx, dy) in groups:
         for i in rows:
-            cols = np.arange(p) if cells is None else np.flatnonzero(cells[i])
+            cols = np.flatnonzero(cells[i])
             blocks, buf = _point_blocks(len(cols), 1, n, buf)
             for b in blocks:
                 work = _offsets(x[i:i + 1], y[i:i + 1], pts[cols[b]], buf)
@@ -261,11 +255,12 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2).
 
     Row i is the heater with coefficients C[i] (J,), center centers[i]
-    and strength q[i]. A row whose points all lie strictly outside its
-    reach sum_k |c_k| takes the exact closed form; every other row goes
-    through the _heater_rows quadrature, which overwrites the closed form
-    computed for all rows at once. The choice is made per row, so a row's
-    values do not depend on the other rows.
+    and strength q[i]. When every point lies strictly outside every row's
+    reach sum_k |c_k|, as in almost every sampler sweep, the closed form
+    runs on all pairs at once with no mask or copy; any other call goes to
+    _pair_rows, which chooses per (row, point) pair. Either way an
+    out-of-reach pair's value depends on no other row or point, and an
+    in-reach pair's only through its row's node doubling.
     """
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
@@ -274,12 +269,7 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
         return _exterior_rows(C, q, dx, dy, r2)
-    # every row takes the closed form; rows with a point inside the reach overwrite it
-    with np.errstate(all="ignore"):
-        out = _exterior_rows(C, q, dx, dy, r2)
-    quad = ~outside.all(axis=1)
-    out[quad] = _heater_rows(partial(node_rows, C[quad], centers[quad]), q[quad], pts, quad_n)
-    return out
+    return _pair_rows(C, centers, q, pts, quad_n)
 
 
 def _wall_clearance(C, centers) -> np.ndarray:
@@ -367,13 +357,15 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     Heater k of configuration i has Fourier coefficients C[i, k] (with
     c_1 > 0), center centers[i, k] and strength q[i, k]; C is (m, h, J).
     Every heater (and wall image) of every configuration is one row of a
-    single kernel call. A row whose points all lie outside the heater's
-    reach sum_k |c_k| takes the exact closed form of the module
-    docstring; only a row with some point inside the reach runs the
-    quad_n-node quadrature. When every row takes the closed form, as in
-    almost every sampler sweep, no row is masked or copied, and J = 2
-    rows skip the general coefficient recursion. The choice is per row,
-    so a configuration's row does not depend on the others. Rejected
+    single kernel call. A (row, point) pair whose point lies outside the
+    heater's reach sum_k |c_k| takes the exact closed form of the module
+    docstring; only a pair with its point inside the reach runs the
+    quad_n-node quadrature. When every pair takes the closed form, as in
+    almost every sampler sweep, no pair is masked or copied, and J = 2
+    rows skip the general coefficient recursion. The choice is per pair,
+    so a configuration's row does not depend on the others, and a heater
+    contributes to a point outside its reach the same value whatever
+    other points share the call. Rejected
     configurations come back as non-finite rows: NaN when a heater
     crosses the wall, otherwise wherever the field is not finite.
     """
@@ -450,10 +442,11 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
 
     region is (xmin, xmax, ymin, ymax) and resolution is (nx, ny). In
     wall mode the region is clipped to y >= 0 before gridding. The cells go
-    through _rows, as the points of temperatures do, with the _grid_rows
-    kernel: a cell outside a heater's (or image's) reach takes the closed
-    form for that heater, and only the few cells inside it run the
-    quadrature, on nodes from boundary_nodes.
+    through _rows, as the points of temperatures do, straight to the
+    _pair_rows kernel: a cell outside a heater's (or image's) reach takes
+    the closed form for that heater, and only the few cells inside it run
+    the quadrature. Even a grid with no cell in any reach draws the coarse
+    nodes once, for no row.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -467,26 +460,26 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
     vals = _configuration(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall, quad_n,
-                          _grid_rows)
+                          _pair_rows)
     return FieldGrid(vals.reshape(ny, nx), (xmin, xmax, ymin, ymax), wall)
 
 
 def boundary_nodes(rows, n: int):
-    """The grid's node source: node_rows(C, centers, n) of rows = (C, centers)."""
-    # through shapes, so a wrapper on this module's node_rows sees only point-set calls
+    """The quadrature's node source: node_rows(C, centers, n) of rows = (C, centers)."""
+    # through shapes, so a wrapper on this module's node_rows sees only the wall check
     return shapes.node_rows(*rows, n)
 
 
-def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2), chosen per
     (row, point) pair.
 
     A pair whose point lies strictly outside the row's reach takes the
     exact closed form, computed for every pair in the quadrature's point
     blocks. _heater_rows then overwrites the in-reach pairs, given as its
-    mask, on nodes from boundary_nodes, drawn at quad_n for every row. Its
-    doubling looks at every point, in the row's reach or not, so each
-    in-reach pair is the unmasked quadrature's value bit for bit.
+    mask, for the rows that hold one, on nodes from boundary_nodes. The
+    coarse nodes are drawn once per call, for no row when no pair is in
+    reach.
     """
     m, p = len(q), len(pts)
     reach = np.abs(C).sum(axis=1)
@@ -499,4 +492,7 @@ def _grid_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
         np.logical_not(r2 > (reach * reach)[:, None], out=inside[:, b])
         with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
             out[:, b] = _exterior_rows(C, q, ox, oy, r2)
-    return _heater_rows(partial(boundary_nodes, (C, centers)), q, pts, quad_n, inside, out)
+    rows = inside.any(axis=1)
+    out[rows] = _heater_rows(partial(boundary_nodes, (C[rows], centers[rows])), q[rows], pts,
+                             quad_n, inside[rows], out[rows])
+    return out

@@ -169,6 +169,8 @@ def _parse_sensors(raw, path="sensors"):
     _check_keys(raw, path, ("points", "count", "range", "wall"))
     wall = Wall.ADIABATIC_Y0 if _get_flag(raw, "wall", path, False) else Wall.UNBOUNDED
     if "points" in raw:
+        if "count" in raw or "range" in raw:
+            _err(path, "give either points or count and range, not both")
         pts = raw["points"]
         if not isinstance(pts, list) or not pts:
             _err(f"{path}.points", "expected a non-empty list of [x, y] pairs")

@@ -191,19 +191,6 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
     return GaussianMixture(weights, means + origin, covs, np.asarray(logliks))
 
 
-def gmm_density(gmm: GaussianMixture, x) -> float:
-    """Mixture density at a point, computed through log-sum-exp.
-
-    With the point itself as the origin every feature but the constant
-    is zero, so each log density is the constant coefficient, formed
-    from mean - x with no cancellation."""
-    keep = gmm.weights > 0.0
-    means = gmm.means[keep] - np.asarray(x, dtype=float)
-    logs = _coefficients(means, gmm.covariances[keep], np.log(gmm.weights[keep]),
-                         np.triu_indices(means.shape[1]))[:, -1]
-    return float(np.exp(np.logaddexp.reduce(logs)))
-
-
 def best_component(gmm: GaussianMixture, target) -> int:
     """Index of the component whose mean scores the highest log posterior.
 

@@ -4,10 +4,10 @@ Everything here is deliberately written from scratch against the
 underlying mathematics (dense polygon sums, area quadrature of the log
 kernel) and avoids the boundary-integral machinery under test. The EM
 oracle shares only the mixture fit's k-means++ start, so that both fits
-begin from the same components. The grid oracle is the field_grid kernel
-that the per-pair choice of the closed form replaced; it runs the
-package's own quadrature, so that the pairs still integrated can be
-checked against it bit for bit.
+begin from the same components. The quadrature oracle is the field
+kernel that the per-pair choice of the closed form replaced; it runs the
+package's own quadrature on every pair, so that the pairs still
+integrated can be checked against it bit for bit.
 """
 
 from functools import partial
@@ -154,9 +154,11 @@ def em_mixture(samples, k, max_iters=200, tol=1e-8, rng=None):
     return weights, means, covs, np.asarray(logliks)
 
 
-def quadrature_grid_rows(C, centers, q, pts, quad_n):
+def quadrature_rows(C, centers, q, pts, quad_n):
     """Temperatures (m, p) of one heater per row, every pair by quadrature:
-    the field_grid kernel before it took the closed form outside a heater's
+    the field kernel before it took the closed form outside a heater's
     reach. Nodes come from field.boundary_nodes at quad_n, doubled for a
     row when some point lies within two node spacings of them."""
-    return field._heater_rows(partial(field.boundary_nodes, (C, centers)), q, pts, quad_n)
+    shape = (len(q), len(pts))
+    return field._heater_rows(partial(field.boundary_nodes, (C, centers)), q, pts, quad_n,
+                              np.ones(shape, dtype=bool), np.empty(shape))

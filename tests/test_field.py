@@ -14,7 +14,7 @@ from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
 from heatinfer.harness import load_config
 from heatinfer.shapes import HeaterShape, curve_moments, node_rows
 
-from oracles import fan_quadrature_temp, point_source_temp, quadrature_grid_rows
+from oracles import fan_quadrature_temp, point_source_temp, quadrature_rows
 
 # fan-quadrature ground value (1.15e6 points) for the heater below at the origin
 HEART_T_ORIGIN = 3.4294837696656255e-4
@@ -382,15 +382,20 @@ def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
         alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])],
                              INSIDE, quad_n=64)
         assert rows[i].tobytes() == alone.tobytes()
-    # every heater ran the quadrature: the rows are its sums bit for bit
-    each = _quadrature(C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1), INSIDE, 64)
-    each = each.reshape(len(q), 2, -1)
+    # every heater has a point in its reach: its in-reach pairs are the
+    # quadrature's bit for bit, its others the closed form's, and the rows
+    # their sums
+    C, centers, q = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
+    assert _in_reach(C, centers, q, INSIDE)[0].any(axis=1).all()
+    each = _per_pair(C, centers, q, INSIDE, 64).reshape(len(rows), 2, -1)
     assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
 
 
-def _quadrature(C, centers, q, pts, quad_n):
-    """The boundary-integral rows (m, p) of heaters C (m, J), centers (m, 2), q (m,)."""
-    return fieldmod._heater_rows(partial(node_rows, C, centers), q, pts, quad_n)
+def _per_pair(C, centers, q, pts, quad_n):
+    """The per-pair rule (m, p): quadrature_rows at the pairs in a row's
+    reach, the closed form at the others."""
+    inside, closed = _in_reach(C, centers, q, pts)
+    return np.where(inside, quadrature_rows(C, centers, q, pts, quad_n), closed)
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 1 << 12, 1])
@@ -401,7 +406,7 @@ def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
     C = np.array([[0.28, 0.14], [0.28, 0.14], [0.2, 0.0], [0.28, 0.14]])
     centers = np.array([[0.5, 0.43], [-0.3, 0.9], [-0.6, 0.6], [0.5, 0.9]])
     q = np.array([1.0, 1.5, 2.0, 2.5])
-    full = _quadrature(C, centers, q, INSIDE, 64)
+    full = quadrature_rows(C, centers, q, INSIDE, 64)
     x, y, _, _ = node_rows(C, centers, 64)
     gap = np.hypot(x[:, :, None] - INSIDE[:, 0], y[:, :, None] - INSIDE[:, 1]).min(axis=1)
     close = gap[0] < 0.11
@@ -410,13 +415,7 @@ def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
     cells[0], cells[1] = ~close, False
     out = np.random.default_rng(26).standard_normal(full.shape)
     before = out.copy()
-    asked, offset_rows = [], []
-    real = fieldmod._offsets
-
-    def recorded(x, y, pts, buf):
-        offset_rows.extend(zip(x[:, 0], y[:, 0]))
-        return real(x, y, pts, buf)
-    monkeypatch.setattr(fieldmod, "_offsets", recorded)
+    asked = []
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
 
     def nodes(n):
@@ -424,23 +423,29 @@ def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
         return node_rows(C, centers, n)
     got = fieldmod._heater_rows(nodes, q, INSIDE, 64, cells, out)
     assert got is out
-    # the marked pairs are the unmasked call's bit for bit, row 0 doubled
-    # although none of its marked points is near; the others keep their values
+    # the marked pairs are the every-pair call's bit for bit, row 0 doubled
+    # although none of its marked points is near; the others, row 1 whole,
+    # keep their values
     assert out[cells].tobytes() == full[cells].tobytes()
     assert out[~cells].tobytes() == before[~cells].tobytes()
     assert asked == [64, 128]
-    # row 1 gets no offsets, neither for the doubling decision nor to integrate
-    assert offset_rows and (x[1, 0], y[1, 0]) not in offset_rows
 
 
 def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
     C, centers, q = _ladder([0.8, 0.9])
-    # a point on the heart's doubled-node boundary of the first row
+    # a point on the heart's doubled-node boundary of the first row, with
+    # INSIDE's points in the reach of every heater, so that each integrates
+    # enough pairs for the tiny budgets to split them
     x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
-    pts = np.vstack([SENSOR_LINE, [[x[0, 5], y[0, 5]]]])
+    pts = np.vstack([INSIDE, [[x[0, 5], y[0, 5]]]])
     rows, _ = _assert_blocking_changes_no_byte(
         monkeypatch, lambda: temperature_rows(C, centers, q, pts, quad_n=64))
     assert np.isfinite(rows).all()
+    # the node hit's pair too is the quadrature's bit for bit
+    C, centers, q = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
+    assert _in_reach(C, centers, q, pts)[0][0, -1]
+    each = _per_pair(C, centers, q, pts, 64).reshape(len(rows), 2, -1)
+    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
 
 
 def test_blocked_wall_rows_are_bit_identical(monkeypatch):
@@ -571,12 +576,12 @@ def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
         return real(x, y, pts, buf)
     monkeypatch.setattr(fieldmod, "_offsets", counted)
     calls = []
-    real_rows = fieldmod._grid_rows
+    real_rows = fieldmod._pair_rows
 
     def recorded(*args):
         calls.append(args + (real_rows(*args),))
         return calls[-1][-1]
-    monkeypatch.setattr(fieldmod, "_grid_rows", recorded)
+    monkeypatch.setattr(fieldmod, "_pair_rows", recorded)
     for wall in (Wall.UNBOUNDED, Wall.ADIABATIC_Y0):
         elems.clear()
         highest.clear()
@@ -600,7 +605,7 @@ def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
         # doubled, its 256-node offsets are that decision's), a tenth of the
         # full pass's
         elems.clear()
-        quadrature_grid_rows(C[:2], centers[:2], q[:2], pts, quad_n)
+        quadrature_rows(C[:2], centers[:2], q[:2], pts, quad_n)
         assert got_elems[256] == elems[256] < 0.1 * 2 * 10800 * 256
 
 
@@ -639,9 +644,9 @@ def test_closed_form_matches_dense_quadrature(monkeypatch, wall):
         center = np.array([rng.uniform(-1.0, 1.0), reach + rng.uniform(0.05, 1.0)])
         q = np.array([rng.uniform(0.2, 3.0)])
         pts = _exterior_points(rng, C, center, wall)
-        ref = _quadrature(C, center[None], q, pts, 4096)[0]
+        ref = quadrature_rows(C, center[None], q, pts, 4096)[0]
         if wall is Wall.ADIABATIC_Y0:
-            ref = ref + _quadrature(C, center[None] * [1.0, -1.0], q, pts, 4096)[0]
+            ref = ref + quadrature_rows(C, center[None] * [1.0, -1.0], q, pts, 4096)[0]
         counts = _count_kernel_work(monkeypatch)
         got = temperature_rows(C[None], center[None, None], q[None], pts, wall)[0]
         # no quadrature, and no wall check: the center lies above the reach
@@ -680,7 +685,7 @@ def test_closed_form_of_a_circle_is_the_exact_monopole():
 def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     # 2,000 draws across the estimator's prior box, on the config's sensors,
     # one heater per configuration: no row moves further from the 4,096-node
-    # reference than the 256-node quadrature every row ran before the closed
+    # reference than the 256-node quadrature every pair ran before the closed
     # form. Summed over two heaters, one heater's quadrature error can cancel
     # part of the other's, so the rows hold one heater each. Both the 256-node
     # sums and the reference round at a few ulp of max|T| (the 4,096- and
@@ -692,10 +697,14 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     heaters = rng.uniform(bounds[:, 0], bounds[:, 1], (2000, len(bounds))).reshape(-1, 5)
     C, centers, q = heaters[:, 3:], heaters[:, :2], heaters[:, 2]
     got = temperature_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
-    ref = _quadrature(C, centers, q, pts, 4096)
-    before = _quadrature(C, centers, q, pts, 256)
-    closed = np.any(got != before, axis=1)
-    assert 0.5 < closed.mean() < 0.9  # both paths are exercised
+    ref = quadrature_rows(C, centers, q, pts, 4096)
+    before = quadrature_rows(C, centers, q, pts, 256)
+    # the in-reach pairs are the quadrature's bit for bit, the others the
+    # closed form's, and about 30 % of the rows hold an in-reach pair
+    inside, closed = _in_reach(C, centers, q, pts)
+    assert 0.2 < inside.any(axis=1).mean() < 0.5
+    assert got[inside].tobytes() == before[inside].tobytes()
+    assert got[~inside].tobytes() == closed[~inside].tobytes()
     slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1)
     assert np.all(np.abs(got - ref).max(axis=1) <= np.abs(before - ref).max(axis=1) + slack)
 
@@ -744,9 +753,9 @@ def test_grid_pairs_are_no_less_accurate_than_the_quadrature(name, wall):
     # max|T| (single_heater's cell at (1.25, 0.75), 0.0019 from the boundary
     # and just outside the reach), which the closed form now gets right.
     C, centers, q, pts = _grid_case(name, wall)
-    got = fieldmod._grid_rows(C, centers, q, pts, 256)
-    before = quadrature_grid_rows(C, centers, q, pts, 256)
-    ref = quadrature_grid_rows(C, centers, q, pts, 4096)
+    got = fieldmod._pair_rows(C, centers, q, pts, 256)
+    before = quadrature_rows(C, centers, q, pts, 256)
+    ref = quadrature_rows(C, centers, q, pts, 4096)
     slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1, keepdims=True)
     assert np.all(np.abs(got - ref) <= np.abs(before - ref) + slack)
     # in-reach pairs are the old quadrature bit for bit, the others the closed form
@@ -776,14 +785,39 @@ def test_sweep_near_the_truth_runs_no_quadrature(monkeypatch, name):
 
 
 def test_row_with_a_sensor_inside_its_reach_runs_the_quadrature(monkeypatch):
-    # the heart at y0 = 0.3 reaches the sensor line (reach 0.42), the one at
-    # y0 = 0.8 does not; each configuration holds one heater
+    # the heart at y0 = 0.3 reaches some of the sensors (reach 0.42), the
+    # one at y0 = 0.8 none; each configuration holds one heater. Only the
+    # in-reach sensors of the first run the quadrature
     C, centers, q = _ladder([0.3, 0.8], q=(1.5,))
     C, centers = C[:, :1], centers[:, :1]
     counts = _count_kernel_work(monkeypatch)
     rows = temperature_rows(C, centers, q, SENSOR_LINE)
     assert counts[256] == 1 and counts["offsets"] > 0
-    quad = _quadrature(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 256)
-    assert rows[0].tobytes() == quad[0].tobytes()
-    assert rows[1].tobytes() != quad[1].tobytes()
+    inside, closed = _in_reach(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE)
+    assert 0 < np.count_nonzero(inside[0]) < len(SENSOR_LINE) and not inside[1].any()
+    quad = quadrature_rows(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 256)
+    assert rows[inside].tobytes() == quad[inside].tobytes()
+    assert rows[~inside].tobytes() == closed[~inside].tobytes()
     np.testing.assert_allclose(rows[1], quad[1], rtol=1e-13)
+
+
+# the hearts at these heights reach some of the twelve sensors; in wall mode
+# they also clear the wall (the heart's lowest point lies 0.3637 below its
+# center), and their images reach the same sensors
+REACHING = {Wall.UNBOUNDED: [0.3, 0.35, 0.4, 0.415], Wall.ADIABATIC_Y0: [0.37, 0.39, 0.415]}
+
+
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_sensor_outside_the_reach_equals_the_point_alone(wall):
+    # a sensor outside the heater's reach takes the closed form whatever
+    # other sensors share the call: evaluated alone it takes the kernel's
+    # all-exterior return, and the two agree bit for bit
+    C, centers, q = _ladder(REACHING[wall], q=(1.5,))
+    C, centers = C[:, :1], centers[:, :1]
+    rows = temperature_rows(C, centers, q, SENSOR_LINE, wall)
+    inside = _in_reach(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE)[0]
+    assert inside.any(axis=1).all() and not inside.all(axis=1).any()
+    for i, j in zip(*np.nonzero(~inside)):
+        alone = temperature_rows(C[i:i + 1], centers[i:i + 1], q[i:i + 1], SENSOR_LINE[j:j + 1],
+                                 wall)
+        assert alone.tobytes() == rows[i, j].tobytes()

@@ -345,6 +345,11 @@ BAD_CONFIGS = {
     "nan_known_var": ({**MINIMAL, "estimator": {"known": ["c1"], "known_var": float("nan")}},
                       [], "estimator.known_var"),
     "infinite_noise": ({**MINIMAL, "noise_sigma": float("inf")}, [], "config.noise_sigma"),
+    # a line's count and range used to be ignored silently next to explicit points
+    "points_and_count": ({**MINIMAL, "sensors": {"points": [[0, 0], [0.5, 0]], "count": 7}}, [],
+                         "sensors"),
+    "points_and_range": ({**MINIMAL, "sensors": {"points": [[0, 0], [0.5, 0]], "range": [5, 3]}},
+                         [], "sensors"),
     "string_wall": ({**MINIMAL, "sensors": {"count": 3, "wall": "false"}}, [], "sensors.wall"),
     "string_half_plane": ({**MINIMAL, "estimator": {"half_plane": "no"}}, [],
                           "estimator.half_plane"),

@@ -5,7 +5,7 @@ import pytest
 
 from heatinfer.posterior import (COV_FLOOR, GaussianMixture,
                                  InsufficientSamplesError, PcaReport,
-                                 best_component, fit_gmm, gmm_density, pca)
+                                 best_component, fit_gmm, pca)
 
 from oracles import em_mixture
 
@@ -52,32 +52,6 @@ def test_em_loglik_non_decreasing():
 def test_insufficient_samples():
     with pytest.raises(InsufficientSamplesError):
         fit_gmm(np.zeros((19, 2)), 2)
-
-
-def test_density_standard_normal_at_origin():
-    for dim in (1, 2, 3):
-        gmm = GaussianMixture(np.array([1.0]), np.zeros((1, dim)),
-                              np.eye(dim)[None, :, :])
-        got = gmm_density(gmm, np.zeros(dim))
-        assert got == pytest.approx((2.0 * np.pi) ** (-dim / 2.0), rel=1e-12)
-
-
-def test_density_integrates_to_one():
-    gmm = GaussianMixture(np.array([0.4, 0.6]),
-                          np.array([[-1.0, 0.0], [1.5, 0.5]]),
-                          np.array([np.eye(2) * 0.2, np.eye(2) * 0.5]))
-    xs = np.linspace(-8, 10, 241)
-    ys = np.linspace(-8, 9, 229)
-    vals = np.array([[gmm_density(gmm, (x, y)) for x in xs] for y in ys])
-    trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
-    integral = trapezoid(trapezoid(vals, xs, axis=1), ys)
-    assert integral == pytest.approx(1.0, rel=0.01)
-
-
-def test_density_peaks_at_component_mean():
-    gmm = GaussianMixture(np.array([1.0]), np.array([[2.0, -1.0]]),
-                          np.eye(2)[None, :, :] * 0.3)
-    assert gmm_density(gmm, (2.0, -1.0)) > gmm_density(gmm, (8.0, 8.0))
 
 
 def rows(target):
