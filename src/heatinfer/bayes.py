@@ -70,6 +70,11 @@ class StateSpec:
                 raise ValueError(f"known component {i}: variance must be positive")
             if not (0 <= int(i) < BLOCK * self.n_heaters):
                 raise ValueError(f"known component index {i} out of range")
+            # the log prior divides squared offsets within the box by var
+            width = float(b[int(i), 1]) - float(b[int(i), 0])
+            if width * width / float(var) == np.inf:
+                raise ValueError(f"known component {i}: variance {var} is too small for its "
+                                 f"box width {width}")
         if self.half_plane and np.any(b[1::BLOCK, 0] < 0.0):
             raise ValueError("half_plane requires y0 lower bounds >= 0")
         object.__setattr__(self, "bounds", b)
@@ -153,7 +158,7 @@ def _log_prior_rows(X: np.ndarray, spec: StateSpec) -> np.ndarray:
     return np.where(inside, -0.5 * (d * d / spec._known_var).sum(axis=1), -np.inf)
 
 
-def _make_likelihood(obs: Observation, sensors, spec: StateSpec, quad_n: int):
+def _make_likelihood(obs: Observation, sensors, spec: StateSpec):
     """The log likelihood of every row of a stack (m, dim), for stacks whose
     c_1 are all positive. The setup is checked here, once."""
     if obs.noise_sigma <= 0.0:
@@ -166,8 +171,7 @@ def _make_likelihood(obs: Observation, sensors, spec: StateSpec, quad_n: int):
         if not np.isfinite(X).all():
             raise ValueError("states must be finite")
         # resolved per call, so a patched forward model is the one scored
-        h = fieldmod.temperature_rows(*_blocks(X, spec.n_heaters), sensors.points, sensors.wall,
-                                      quad_n)
+        h = fieldmod.temperature_rows(*_blocks(X, spec.n_heaters), sensors.points, sensors.wall)
         r = obs.values - h
         ll = -0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / var
         # a non-finite field row gives a NaN or -inf ll; fmax maps NaN to -inf
@@ -188,28 +192,26 @@ def log_prior(x: np.ndarray, spec: StateSpec) -> float:
     return float(_log_prior_rows(_row(x), spec)[0])
 
 
-def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
-                   quad_n: int = 256) -> float:
+def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec) -> float:
     """Gaussian log likelihood of the observations under state x.
 
     Geometry failures (degenerate shapes, a heater crossing the wall, a
     non-finite field) are reported as -inf so the sampler simply rejects
     the state; any other error propagates.
     """
-    x, likelihood = _row(x), _make_likelihood(obs, sensors, spec, quad_n)
+    x, likelihood = _row(x), _make_likelihood(obs, sensors, spec)
     # c_1 <= 0 is a degenerate shape; in the target the prior rejects it first
     if x.shape[1] == spec.dim and np.isfinite(x).all() and not (x[0, 3::BLOCK] > 0.0).all():
         return -np.inf
     return float(likelihood(x)[0])
 
 
-def log_posterior(x: np.ndarray, obs: Observation, sensors, spec: StateSpec,
-                  quad_n: int = 256) -> float:
+def log_posterior(x: np.ndarray, obs: Observation, sensors, spec: StateSpec) -> float:
     """log prior + log likelihood, skipping the forward model outside B."""
-    return float(make_log_posterior(obs, sensors, spec, quad_n)(_row(x))[0])
+    return float(make_log_posterior(obs, sensors, spec)(_row(x))[0])
 
 
-def make_log_posterior(obs: Observation, sensors, spec: StateSpec, quad_n: int = 256):
+def make_log_posterior(obs: Observation, sensors, spec: StateSpec):
     """Closure over a fixed observation setup, for samplers.
 
     The target scores a stack of states (m, dim) in one call and returns
@@ -219,7 +221,7 @@ def make_log_posterior(obs: Observation, sensors, spec: StateSpec, quad_n: int =
     and one upper bound per component. Only rows inside the support reach
     the one forward-model call, so no c_1 > 0 mask is needed after it.
     """
-    likelihood = _make_likelihood(obs, sensors, spec, quad_n)
+    likelihood = _make_likelihood(obs, sensors, spec)
 
     def target(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)

@@ -61,9 +61,8 @@ def _cmd_grid(args) -> int:
     else:
         states = pack(config.truth)
         tag = "truth"
-    g = field_grid(heaters_from(states, config.spec.n_heaters),
-                   config.grid.region, config.grid.resolution,
-                   config.sensors.wall, config.quad_n)
+    g = field_grid(heaters_from(states, config.spec.n_heaters), config.grid.region,
+                   config.grid.resolution, config.sensors.wall)
     with harness.staged(args.out) as staging:
         written = harness.write_grid(g, os.path.join(staging, f"{tag}_grid.csv"))
     for path in written:

@@ -31,8 +31,9 @@ reduces to a boundary integral through the divergence identity
 div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4, evaluated by
 the trapezoidal rule on the Fourier parameterization of the boundary.
 For a closed smooth boundary and an evaluation point off the curve the
-rule converges spectrally, so quad_n = 256 already gives near machine
-accuracy away from the boundary.
+rule converges spectrally, so quad_n = 256 nodes, the public functions'
+default (no config sets it), already give near machine accuracy away
+from the boundary.
 
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
@@ -45,12 +46,13 @@ nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
 work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
 number of points, unless a single point times the rows times the nodes
 already exceeds the budget. The closed form of a call with an in-reach
-pair walks the same blocks. The blocks change no value.
+pair walks (rows, points) blocks of at most _BLOCK_ELEMS elements (0.5
+MB), one block for every desk grid and sweep call. No block changes a
+value.
 """
 
 import enum
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -155,26 +157,29 @@ def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
     return -q[:, None] / (8.0 * np.pi) * rhox.sum(axis=2) * (2.0 * np.pi / n)
 
 
-def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells, out) -> np.ndarray:
+def _heater_rows(C, centers, q, pts: np.ndarray, quad_n: int, cells, out) -> np.ndarray:
     """Boundary-integral temperatures of one heater per row at pts (p, 2),
     written into out (m, p) at the pairs that cells (m, p) marks; returns out.
 
-    nodes(n) returns the rows' boundary samples and tangents (x, y, dx,
-    dy), each (m, n); q holds the rows' strengths (m,). Accuracy near the
-    boundary degrades with node spacing, so a row's nodes are doubled
-    once when any point lies within two node spacings of its boundary.
-    Doubling looks at every point, marked or not, so a marked pair's value
-    does not depend on which other pairs are marked.
+    Row i is the heater with coefficients C[i] (J,), center centers[i] and
+    strength q[i]; its nodes come from boundary_nodes. Accuracy near the
+    boundary degrades with node spacing, so a row's nodes are doubled once
+    when any point lies within two node spacings of them. Doubling looks
+    at every point, marked or not, so a marked pair's value does not
+    depend on which other pairs are marked.
 
     A call that fits in one block of at most _BLOCK_ELEMS elements per
     work array computes its offsets once: they decide the doubling and
-    integrate the rows that keep quad_n nodes. Any other call asks
-    _near_rows. Each doubled row (and, in the blocked call, every row)
-    then walks its marked points on its own, block by block in one
-    buffer. No path changes a value.
+    integrate the rows that keep quad_n nodes. A larger call measures
+    offsets only for the points that may be near a row: a row's nodes lie
+    within its reach sum_k |c_k| of its center, so only the points within
+    the reach plus two node spacings (plus a margin of 1e-12 of the
+    lengths involved, far above their rounding) can be. Each doubled row
+    (and, in the larger call, every row) then walks its marked points on
+    its own, block by block in one buffer. No path changes a value.
     """
     m, p = len(q), len(pts)
-    x, y, dx, dy = nodes(quad_n)
+    x, y, dx, dy = boundary_nodes((C, centers), quad_n)
     # node spacing bounded by max parameterization speed times step
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
     limit = (2.0 * spacing) ** 2
@@ -188,11 +193,20 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells, out) -> np.ndarr
                       where=cells & ~near[:, None])
         coarse = ()
     else:
-        near = _near_rows(x, y, pts, limit, blocks, buf)
+        radius = np.abs(C).sum(axis=1) + 2.0 * spacing
+        radius += 1e-12 * (radius + np.abs(centers).sum(axis=1) + max(pts.max(), -pts.min()))
+        closest = np.full(m, np.inf)
+        for b in blocks:
+            d = pts[b] - centers[:, None, :]
+            # a NaN distance keeps its point, as the offsets would have seen it
+            sub = pts[b][~((d * d).sum(axis=2) > (radius * radius)[:, None]).all(axis=0)]
+            if len(sub):
+                np.minimum(closest, _offsets(x, y, sub, buf)[2].min(axis=(1, 2)), out=closest)
+        near = closest < limit
         coarse = np.flatnonzero(~near)
     groups = [(quad_n, coarse, (x, y, dx, dy))]
     if near.any():
-        groups.append((2 * quad_n, np.flatnonzero(near), nodes(2 * quad_n)))
+        groups.append((2 * quad_n, np.flatnonzero(near), boundary_nodes((C, centers), 2 * quad_n)))
     for n, rows, (x, y, dx, dy) in groups:
         for i in rows:
             cols = np.flatnonzero(cells[i])
@@ -202,26 +216,6 @@ def _heater_rows(nodes, q, pts: np.ndarray, quad_n: int, cells, out) -> np.ndarr
                 out[i, cols[b]] = _integrate(*work, dx[i:i + 1], dy[i:i + 1], q[i:i + 1], n,
                                               work[2].min() == 0.0)[0]
     return out
-
-
-def _near_rows(x, y, pts: np.ndarray, limit: np.ndarray, blocks, buf) -> np.ndarray:
-    """Rows (m,) with a node (x, y), each (m, n), closer than sqrt(limit) (m,)
-    to some point of pts, measured block by block in buf. A row's nodes lie
-    within R, their largest distance from z, the middle of their bounding
-    box, so only the points within R + sqrt(limit) of z (plus a margin of
-    1e-12 of the lengths involved, far above their rounding) get offsets.
-    """
-    z = 0.5 * np.stack([x.max(axis=1) + x.min(axis=1), y.max(axis=1) + y.min(axis=1)], axis=1)
-    radius = np.sqrt(((x - z[:, :1]) ** 2 + (y - z[:, 1:]) ** 2).max(axis=1)) + np.sqrt(limit)
-    radius += 1e-12 * (radius + np.abs(z).sum(axis=1) + max(pts.max(), -pts.min()))
-    closest = np.full(len(x), np.inf)
-    for b in blocks:
-        d = pts[b] - z[:, None, :]
-        # a NaN distance keeps its point, as the offsets would have seen it
-        sub = pts[b][~((d * d).sum(axis=2) > (radius * radius)[:, None]).all(axis=0)]
-        if len(sub):
-            np.minimum(closest, _offsets(x, y, sub, buf)[2].min(axis=(1, 2)), out=closest)
-    return closest < limit
 
 
 def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
@@ -475,17 +469,21 @@ def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     (row, point) pair.
 
     A pair whose point lies strictly outside the row's reach takes the
-    exact closed form, computed for every pair in the quadrature's point
-    blocks. _heater_rows then overwrites the in-reach pairs, given as its
-    mask, for the rows that hold one, on nodes from boundary_nodes. The
-    coarse nodes are drawn once per call, for no row when no pair is in
-    reach.
+    exact closed form, computed for every pair in blocks of
+    _BLOCK_ELEMS // m points (one block for a desk grid or a sweep call).
+    _heater_rows then overwrites the in-reach pairs, given as its mask,
+    for the rows that hold one. The coarse nodes are drawn once per call,
+    for no row when no pair is in reach. The traced benchmark counts that
+    draw on every grid, so this kernel stays apart from _heater_field,
+    whose all-exterior return would skip it.
     """
     m, p = len(q), len(pts)
     reach = np.abs(C).sum(axis=1)
     out = np.empty((m, p))
     inside = np.empty((m, p), dtype=bool)
-    for b in _point_blocks(p, m, quad_n)[0]:
+    step = max(1, _BLOCK_ELEMS // max(m, 1))
+    for i in range(0, p, step):
+        b = slice(i, i + step)
         ox = pts[b, 0] - centers[:, 0:1]
         oy = pts[b, 1] - centers[:, 1:2]
         r2 = ox * ox + oy * oy
@@ -493,6 +491,6 @@ def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
         with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
             out[:, b] = _exterior_rows(C, q, ox, oy, r2)
     rows = inside.any(axis=1)
-    out[rows] = _heater_rows(partial(boundary_nodes, (C[rows], centers[rows])), q[rows], pts,
-                             quad_n, inside[rows], out[rows])
+    out[rows] = _heater_rows(C[rows], centers[rows], q[rows], pts, quad_n, inside[rows],
+                             out[rows])
     return out

@@ -50,7 +50,6 @@ class ExperimentConfig:
     gmm_k: int
     grid: GridSpec | None
     seed: int
-    quad_n: int
     ladder_exponents: tuple
     ladder_base: float
     resolved: dict  # config as loaded, with defaults applied
@@ -266,15 +265,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a raw config object and apply defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected an object")
-    _check_keys(doc, "config", ("seed", "noise_sigma", "gmm_k", "quad_n", "truth", "sensors",
-                                "estimator", "schedule", "ladder", "grid"))
+    _check_keys(doc, "config", ("seed", "noise_sigma", "gmm_k", "truth", "sensors", "estimator",
+                                "schedule", "ladder", "grid"))
     seed = _get_number(doc, "seed", "config", default=0, nonnegative=True, integer=True)
     noise_sigma = float(_get_number(doc, "noise_sigma", "config", default=5e-4,
                                     nonnegative=True))
+    # the likelihood divides by noise_sigma ** 2, which must be a normal double
+    square = noise_sigma * noise_sigma
+    if noise_sigma > 0 and not sys.float_info.min <= square <= sys.float_info.max:
+        _err("config.noise_sigma", f"must square to a normal double (about 1.5e-154 to "
+                                   f"1.3e154), got {noise_sigma}")
     gmm_k = _get_number(doc, "gmm_k", "config", default=5, positive=True, integer=True)
-    quad_n = _get_number(doc, "quad_n", "config", default=256, integer=True)
-    if quad_n < 32:
-        _err("config.quad_n", f"must be at least 32, got {quad_n}")
 
     # canonical order keeps known-by-name priors aligned
     truth = sort_blocks(_parse_truth(doc.get("truth", []))[None])[0]
@@ -322,7 +323,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "seed": seed,
         "noise_sigma": noise_sigma,
         "gmm_k": gmm_k,
-        "quad_n": quad_n,
         "truth": [dict(zip(COMPONENT_NAMES, row)) for row in truth.tolist()],
         "sensors": {
             "points": sensors.points.tolist(),
@@ -340,7 +340,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             "region": list(grid.region), "resolution": list(grid.resolution)},
     }
     return ExperimentConfig(truth, spec, sensors, noise_sigma, schedule, gmm_k,
-                            grid, seed, quad_n, exponents, base, resolved)
+                            grid, seed, exponents, base, resolved)
 
 
 def load_config(path: str, seed: int | None = None,
@@ -373,7 +373,7 @@ def synthesize(config: ExperimentConfig) -> Observation:
     re-synthesis is reproducible and does not perturb the chains.
     """
     heaters = heaters_from(pack(config.truth), len(config.truth))
-    clean = fieldmod.observe(heaters, config.sensors, config.quad_n)
+    clean = fieldmod.observe(heaters, config.sensors)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _SYNTH_STREAM]))
     noise = config.noise_sigma * rng.standard_normal(len(clean))
     return Observation(clean + noise, config.noise_sigma)
@@ -392,7 +392,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
         raise ConfigError("noise_sigma: inference requires a positive value")
 
     obs = synthesize(config)
-    target = make_log_posterior(obs, config.sensors, config.spec, config.quad_n)
+    target = make_log_posterior(obs, config.sensors, config.spec)
     ladder = ChainLadder.create(config.spec.bounds, config.seed,
                                 config.ladder_exponents, config.ladder_base)
     canon = None
@@ -411,8 +411,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
                 for tag, states in (("truth", pack(config.truth)),
                                     ("best", report.best_mean)):
                     g = field_grid(heaters_from(states, config.spec.n_heaters),
-                                   config.grid.region, config.grid.resolution,
-                                   config.sensors.wall, config.quad_n)
+                                   config.grid.region, config.grid.resolution, config.sensors.wall)
                     write_grid(g, os.path.join(staging, f"{tag}_grid.csv"))
     return report
 
@@ -448,7 +447,7 @@ def fit_samples(config: ExperimentConfig, samples: np.ndarray) -> RunReport:
         raise ConfigError(
             f"samples: {samples.shape[1]} columns, estimator expects {config.spec.dim}")
     obs = synthesize(config)
-    target = make_log_posterior(obs, config.sensors, config.spec, config.quad_n)
+    target = make_log_posterior(obs, config.sensors, config.spec)
     return _analyze(config, obs, target, samples, {}, np.zeros(0))
 
 
@@ -459,8 +458,7 @@ def _analyze(config: ExperimentConfig, obs: Observation, target, samples: np.nda
                   rng=np.random.default_rng(np.random.SeedSequence([config.seed, _GMM_STREAM])))
     best = best_component(gmm, target)
     best_mean = gmm.means[best]
-    fitted = fieldmod.observe(heaters_from(best_mean, config.spec.n_heaters),
-                              config.sensors, config.quad_n)
+    fitted = fieldmod.observe(heaters_from(best_mean, config.spec.n_heaters), config.sensors)
     return RunReport(
         gmm=gmm, best_index=best, pca_of_best=pca(gmm.covariances[best]),
         acceptance_rates=acceptance_rates, swap_rates=swap_rates,

@@ -10,8 +10,6 @@ package's own quadrature on every pair, so that the pairs still
 integrated can be checked against it bit for bit.
 """
 
-from functools import partial
-
 import numpy as np
 
 from heatinfer import field
@@ -160,5 +158,5 @@ def quadrature_rows(C, centers, q, pts, quad_n):
     reach. Nodes come from field.boundary_nodes at quad_n, doubled for a
     row when some point lies within two node spacings of them."""
     shape = (len(q), len(pts))
-    return field._heater_rows(partial(field.boundary_nodes, (C, centers)), q, pts, quad_n,
-                              np.ones(shape, dtype=bool), np.empty(shape))
+    return field._heater_rows(C, centers, q, pts, quad_n, np.ones(shape, dtype=bool),
+                              np.empty(shape))

@@ -417,11 +417,13 @@ def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
     before = out.copy()
     asked = []
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
+    real = fieldmod.boundary_nodes
 
-    def nodes(n):
+    def recorded(rows, n):
         asked.append(n)
-        return node_rows(C, centers, n)
-    got = fieldmod._heater_rows(nodes, q, INSIDE, 64, cells, out)
+        return real(rows, n)
+    monkeypatch.setattr(fieldmod, "boundary_nodes", recorded)
+    got = fieldmod._heater_rows(C, centers, q, INSIDE, 64, cells, out)
     assert got is out
     # the marked pairs are the every-pair call's bit for bit, row 0 doubled
     # although none of its marked points is near; the others, row 1 whole,
@@ -526,9 +528,9 @@ def test_grid_working_set_is_bounded():
 
 
 def _full_pass_heater_rows(nodes, q, pts, quad_n):
-    """The quadrature kernel as it was before _near_rows: the closest
-    approach of every point to every row is measured, block by block,
-    before any row is integrated."""
+    """The quadrature kernel as it was before near points were screened:
+    the closest approach of every point to every row is measured, block by
+    block, before any row is integrated."""
     m = len(q)
     out = np.empty((m, len(pts)))
     x, y, dx, dy = nodes(quad_n)
@@ -607,6 +609,32 @@ def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
         elems.clear()
         quadrature_rows(C[:2], centers[:2], q[:2], pts, quad_n)
         assert got_elems[256] == elems[256] < 0.1 * 2 * 10800 * 256
+
+
+@pytest.mark.parametrize("budget", [fieldmod._BLOCK_ELEMS, 1])
+def test_point_just_outside_the_reach_doubles_its_row(monkeypatch, budget):
+    # a circle's boundary lies on its reach; the second point, 0.03 beyond
+    # the node at t = 0, lies outside the reach but within two node spacings
+    # (0.059 at 64 nodes) of it. At the default budget one offsets pass sees
+    # it; with one point per block the screen must keep it, which a bound
+    # of the reach alone would not
+    C, centers, q = np.array([[0.3]]), np.array([[0.2, 0.5]]), np.array([1.5])
+    pts = np.array([[0.2, 0.5], [0.53, 0.5]])
+    monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
+    asked = []
+    real = fieldmod.boundary_nodes
+
+    def recorded(rows, n):
+        asked.append(n)
+        return real(rows, n)
+    monkeypatch.setattr(fieldmod, "boundary_nodes", recorded)
+    got = quadrature_rows(C, centers, q, pts, 64)
+    assert asked == [64, 128]
+    full = _full_pass_heater_rows(partial(node_rows, C, centers), q, pts, 64)
+    assert got.tobytes() == full.tobytes()
+    # the centre, in reach, gets the doubled value through the public kernel
+    rows = temperature_rows(C[None], centers[None], q[None], pts, quad_n=64)
+    assert rows[0, 0] == full[0, 0]
 
 
 # --- closed form outside the reach: exact, and the sweep's fast path ---
@@ -778,8 +806,7 @@ def test_sweep_near_the_truth_runs_no_quadrature(monkeypatch, name):
     config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
     C, centers, q = _near_truth(config, np.random.default_rng(24))
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, config.sensors.points, config.sensors.wall,
-                            config.quad_n)
+    rows = temperature_rows(C, centers, q, config.sensors.points, config.sensors.wall)
     assert not counts  # no node_rows, boundary_nodes or _offsets call
     assert np.isfinite(rows).all()
 

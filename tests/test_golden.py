@@ -43,6 +43,10 @@ re-recorded when sensors took the grids' per-pair rule (a sensor outside
 a heater's reach takes the closed form even when another sensor lies
 inside it): residuals_best moved by at most 1.4e-17 and no other byte of
 any case.
+All four report.json hashes were re-recorded when the config lost its
+quad_n key (the quadrature is the field's own, at 256 nodes): the echoed
+config lost its "quad_n": 256 line, and each report is otherwise
+unchanged, equal as JSON with that key removed.
 The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
 numpy or BLAS build may round differently and must re-record them from a
 known-good commit.
@@ -63,7 +67,7 @@ GOLDEN = {
     "single_heater": {
         "best_grid.csv": "534c18ede0f0ed89e7089b84a4d97dd623e50af5ea6582a2183eb1c6a73d3e98",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "af4cb071ceae795b74bbb61eeb868d2d04c5bb6e21b107d6000afe374b219b3f",
+        "report.json": "6a2c0e22caf0b0ae905a6ca2758dc51b8d1454071505f669cad5ae04f72c9feb",
         "samples.csv": "3b881b745df5d2908c372456cd6a58c267bc61c371603c77a9eb74756934aab9",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
@@ -71,7 +75,7 @@ GOLDEN = {
     "single_heater_ladder": {
         "best_grid.csv": "5e96802ad18cccfa0183d2b7942849a898cb5d8da4a9375ae23a68c74c3a6711",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "ad39373f481a83e394e70e46d73036173ae67956e659e173c74e5064bc2a2f98",
+        "report.json": "e6c17fc8c773e25302423791afeee77ad6c7b7e43a58f1fd6f4c3013cc2cdbff",
         "samples.csv": "fbadc9b876ecf829b74193f6b5c119a902c78859a24dac34be3e6a1f310c7132",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
@@ -79,7 +83,7 @@ GOLDEN = {
     "two_heaters": {
         "best_grid.csv": "75b470ecceb3ae6dae856d73a3048dbad44ef511bda0d80d8263cb9ac7d91746",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "78e33c5741aa9cafaf79e85f46a0bc972b89b39a740e9147163e28e19480c692",
+        "report.json": "f6c816456756914a7abaddffcf99e93c1df59ce6ddb097040fea3c3a6d9c713d",
         "samples.csv": "c8903195feea6e2b9fec9b8512154abfdff63e63965727f79d9903910d710a91",
         "truth_grid.csv": "08fed5c6088def6bc403b99cfa53a7a1df85f5f3f65a73c7f2e686c04dde490d",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
@@ -87,7 +91,7 @@ GOLDEN = {
     "two_heaters_wall": {
         "best_grid.csv": "edef61868463edd7ad6d3e52ddd7c9fffbc20e0caee7d1f9fafa9a43ec3fcee3",
         "best_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",
-        "report.json": "88f47750346e3cf6d58be23139244f3bce53f998d872ef1caf881c4d317d4ff5",
+        "report.json": "c5f9752c4dae93d353e8f39f2223cd2440dcda105c8b4945ebc50ae30714694b",
         "samples.csv": "931457a0cb6324634be0b288bea7306163ec993c8a45a21c5514467e5caf7a87",
         "truth_grid.csv": "e58627c681a6b037f3620b6dcec84144030daa7f5ff81082436a3ec28a770081",
         "truth_grid.meta.json": "bab7995671d1b58e914847a17a8d538b283c94ef7f9a8b8442c5e4da4f4626ac",

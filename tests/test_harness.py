@@ -374,17 +374,24 @@ BAD_CONFIGS = {
     "unknown_ladder_key": ({**MINIMAL, "ladder": {"bases": 4.0}}, [], "ladder"),
     "unknown_grid_key": ({**MINIMAL, "grid": {"region": [-1, 1, 0, 1], "resolution": [4, 3],
                                               "res": 2}}, [], "grid"),
+    # the quadrature's node count is the field's own, fixed at 256
+    "unknown_quad_n": ({**MINIMAL, "quad_n": 16}, [], "config"),
+    # these used to pass parsing and then break the scoring: 1e-200 squares
+    # to 0, and the log prior's offsets over 1e-320 overflow
+    "tiny_noise_sigma": ({**MINIMAL, "noise_sigma": 1e-200}, [], "config.noise_sigma"),
+    "tiny_known_var": ({**MINIMAL, "estimator": {"known": ["c1"], "known_var": 1e-320}}, [],
+                       "estimator"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
-def test_cli_bad_config_is_one_error_line(tmp_path, capsys, case):
+def test_cli_bad_config_is_one_error_line(tmp_path, capsys, recwarn, case):
     doc, extra, field_path = BAD_CONFIGS[case]
     cfg = _write_cfg(tmp_path, doc)
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")] + extra)
     assert rc == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
+    assert len(err) == 1 and not recwarn.list
     assert re.match(rf"error: {field_path}: ", err[0])
     if case.startswith("unknown_"):
         assert re.search(r": unknown key '\w+'$", err[0])
@@ -445,11 +452,6 @@ def test_cli_grid_below_the_wall_fails_before_sampling(tmp_path, capsys):
     assert re.match(r"error: grid.region: ymax = -0.5 ", err[0])
     # without the wall the same region is a valid grid
     parse_config({**doc, "sensors": {"count": 3}})
-
-
-def test_config_rejects_coarse_quadrature():
-    with pytest.raises(ConfigError, match="quad_n"):
-        parse_config({**MINIMAL, "quad_n": 16})
 
 
 def test_cli_unsatisfiable_estimator_is_one_error_line(tmp_path, capsys):
