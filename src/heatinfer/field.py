@@ -46,9 +46,8 @@ nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
 work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
 number of points, unless a single point times the rows times the nodes
 already exceeds the budget. The closed form of a call with an in-reach
-pair walks (rows, points) blocks of at most _BLOCK_ELEMS elements (0.5
-MB), one block for every desk grid and sweep call. No block changes a
-value.
+pair walks (rows, points) blocks of at most _BLOCK_ELEMS / 8 elements
+(64 kB), one block for every sweep call. No block changes a value.
 """
 
 import enum
@@ -470,7 +469,8 @@ def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
 
     A pair whose point lies strictly outside the row's reach takes the
     exact closed form, computed for every pair in blocks of
-    _BLOCK_ELEMS // m points (one block for a desk grid or a sweep call).
+    _BLOCK_ELEMS // (8 m) points: one block for a sweep call, and arrays
+    of 64 kB, which raise a desk grid's peak memory less than larger ones.
     _heater_rows then overwrites the in-reach pairs, given as its mask,
     for the rows that hold one. The coarse nodes are drawn once per call,
     for no row when no pair is in reach. The traced benchmark counts that
@@ -481,7 +481,7 @@ def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     reach = np.abs(C).sum(axis=1)
     out = np.empty((m, p))
     inside = np.empty((m, p), dtype=bool)
-    step = max(1, _BLOCK_ELEMS // max(m, 1))
+    step = max(1, _BLOCK_ELEMS // (8 * max(m, 1)))
     for i in range(0, p, step):
         b = slice(i, i + step)
         ox = pts[b, 0] - centers[:, 0:1]
