@@ -25,21 +25,39 @@ polynomial map counts overlap multiplicity the way the boundary integral
 counts winding number, so self-overlapping shapes (c1 < 2|c2|) agree too.
 
 Every (heater, point) pair whose point lies outside the heater's reach
-takes the closed form, whatever other points are evaluated with it; only
-the pairs inside the reach go through the quadrature. The area integral
-reduces to a boundary integral through the divergence identity
-div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4, evaluated by
-the trapezoidal rule on the Fourier parameterization of the boundary.
-For a closed smooth boundary and an evaluation point off the curve the
-rule converges spectrally, so quad_n = 256 nodes, the public functions'
-default (no config sets it), already give near machine accuracy away
-from the boundary.
+takes the closed form, whatever other points are evaluated with it.
+
+Inside the reach, J = 2 has a root form, exact at every point off the
+boundary. Write p' - f(w) = -c2 (w - a)(w - b), with a and b the roots of
+c2 w^2 + c1 w - p' = 0 (|b| <= |a|), and w0 = c1^2 + 2 c2^2. Then
+
+    T(p) = -(q / 2 pi) [pi w0 log|c2| + I(a) + I(b)],
+
+where I(r), the unit-disk integral of log|w - r| |f'(w)|^2, is
+pi [w0 log|r| - c1 c2 Re(1/r)] for |r| >= 1 and
+pi [c1^2 (|r|^2 - 1)/2 + c1 c2 Re r (|r|^2 - 2) + c2^2 (|r|^4 - 1)/2]
+for |r| < 1. The two pieces agree at |r| = 1. Since r (c1 + c2 r) = p',
+the inside piece is also pi [|p'|^2/2 - (c1^2 + c2^2)/2 - 2 c1 c2 Re r].
+A root inside the disk means the heater covers p, and a self-overlap
+(c1 < 2|c2|) has both roots inside, counting twice as the boundary
+integral does. With both roots outside, the sum is the closed form's J = 2
+line above, so _root_rows computes only the covered pairs.
+
+Any other J, and every grid cell in a reach, goes through the quadrature:
+the area integral reduces to a boundary integral through the divergence
+identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4,
+evaluated by the trapezoidal rule on the Fourier parameterization of the
+boundary. For a closed smooth boundary and an evaluation point off the
+curve the rule converges spectrally, so quad_n = 256 nodes, the public
+functions' default (no config sets it), already give near machine
+accuracy away from the boundary.
 
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
 below the wall, making the field even in y and its normal derivative
-zero on the wall. Image rows choose between the closed form and the
-quadrature by the same per-pair rule.
+zero on the wall. Image rows choose their form by the same per-pair rule.
+A heater must clear the wall; for J = 2 its lowest boundary point is
+found exactly (_lowest_j2), for any other J from boundary nodes.
 
 Memory: the quadrature walks the points in blocks whose (rows, points,
 nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
@@ -244,16 +262,57 @@ def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
     return -0.5 * q[:, None] * acc
 
 
+def _root_rows(c1, c2, q, dx, dy, r2, closed) -> np.ndarray:
+    """J = 2 temperatures at pairs given as equal-shape arrays: coefficients
+    c1, c2 and strength q of the pair's heater, offset p' = dx + i dy of
+    the point from its center, r2 = |p'|^2, and the closed form's value
+    closed, which holds wherever both roots lie outside the unit disk.
+    Exact at every point off the boundary: the module docstring's root
+    form, written into closed, which is returned.
+
+    t = c1 + sqrt(c1^2 + 4 c2 p') has Re t >= c1 > 0, so neither root
+    loses digits: the large root is a = -t / (2 c2) and the small one
+    b = 2 p' / t, with |b| <= |a|. A point is covered when |b| < 1, that
+    is 4 r2 < |t|^2; then |a| >= 1 unless c1 < 2|c2|, and a's term takes
+    log|c2| in as w0 log(|t|/2) + 2 c1 c2^2 Re(1/t), finite at c2 = 0.
+    """
+    p = np.empty(dx.shape, complex)
+    p.real = dx
+    p.imag = dy
+    c11, c22 = c1 * c1, c2 * c2
+    t = np.sqrt(c2 * 4.0 * p + c11) + c1
+    t2 = t.real * t.real + t.imag * t.imag
+    covered = 4.0 * r2 < t2
+    if not np.count_nonzero(covered):
+        return closed
+    w0 = c11 + 2.0 * c22
+    # an inside root r adds |p'|^2/2 - (c1^2 + c2^2)/2 - 2 c1 c2 Re r
+    half = 0.5 * (r2 - c11 - c22)
+    # b inside plus a's folded term, with Re b = Re(2 p' / t) and Re(c2 / t) in one
+    acc = 0.5 * w0 * np.log(0.25 * t2) + half
+    acc += c1 * c2 * 2.0 * ((c2 - 2.0 * p) / t).real
+    twice = np.flatnonzero(t2 < 4.0 * c22)  # |a| < 1, so |b| < 1 too: a self-overlap
+    if len(twice):
+        # a inside, w0 log|c2| + half + c1 Re t, in place of its folded term
+        a1, tr, at2 = c1[twice], t.real[twice], t2[twice]
+        acc[twice] += (w0[twice] * (np.log(np.abs(c2[twice])) - 0.5 * np.log(0.25 * at2))
+                       - 2.0 * a1 * c22[twice] * tr / at2 + half[twice] + a1 * tr)
+    np.copyto(closed, -0.5 * q * acc, where=covered)
+    return closed
+
+
 def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2).
 
     Row i is the heater with coefficients C[i] (J,), center centers[i]
     and strength q[i]. When every point lies strictly outside every row's
     reach sum_k |c_k|, as in almost every sampler sweep, the closed form
-    runs on all pairs at once with no mask or copy; any other call goes to
-    _pair_rows, which chooses per (row, point) pair. Either way an
-    out-of-reach pair's value depends on no other row or point, and an
-    in-reach pair's only through its row's node doubling.
+    runs on all pairs at once with no mask or copy. Otherwise, for J = 2,
+    the pairs outside the reach still take it and those inside take the
+    root form (_root_rows); for any other J the call goes to _pair_rows,
+    whose in-reach pairs run the quadrature. Either way a pair's value
+    depends on no other row or point, except a J != 2 in-reach pair's
+    through its row's node doubling.
     """
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
@@ -262,7 +321,31 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
         return _exterior_rows(C, q, dx, dy, r2)
-    return _pair_rows(C, centers, q, pts, quad_n)
+    if C.shape[1] != 2:
+        return _pair_rows(C, centers, q, pts, quad_n)
+    with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
+        out = _exterior_rows(C, q, dx, dy, r2)
+    inside = ~outside
+    rows = np.nonzero(inside)[0]
+    out[inside] = _root_rows(C[rows, 0], C[rows, 1], q[rows], dx[inside], dy[inside], r2[inside],
+                             out[inside])
+    return out
+
+
+def _lowest_j2(C, centers) -> np.ndarray:
+    """Exact lowest boundary point (m,) of J = 2 heaters.
+
+    y(theta) = y0 + sin(theta) (c1 + 2 c2 cos(theta)), so the lowest point
+    lies g(u) = sqrt(1 - u^2) |c1 + 2 c2 u| below y0 for the u = cos(theta)
+    in [-1, 1] that maximizes g. For c2 >= 0, g(-u) <= g(u) at u >= 0, and
+    g^2 rises from u = 0 (likewise mirrored for c2 < 0), so the maximum sits
+    where 4 c2 u^2 + c1 u - 2 c2 = 0 has the sign of c2: at the root
+    u = 4 c2 / (c1 + sqrt(c1^2 + 32 c2^2)), which has |u| < 1/sqrt(2) and
+    c1 + 2 c2 u >= c1 > 0.
+    """
+    c1, c2 = C[:, 0], C[:, 1]
+    u = 4.0 * c2 / (c1 + np.sqrt(c1 * c1 + 32.0 * c2 * c2))
+    return centers[:, 1] - np.sqrt(1.0 - u * u) * (c1 + 2.0 * c2 * u)
 
 
 def _wall_clearance(C, centers) -> np.ndarray:
@@ -270,14 +353,16 @@ def _wall_clearance(C, centers) -> np.ndarray:
     the wall needs it above y = 0.
 
     A heater whose center lies above its reach sum_k |c_k| clears the wall
-    without a node check and reports +inf. The relative margin of 1e-12
-    lies far above the rounding of the nodes' y, so every heater the node
-    check would reject still gets it.
+    without a check and reports +inf. For J = 2 the check is exact
+    (_lowest_j2); any other J takes the lowest of _WALL_CHECK_N boundary
+    nodes, and the relative margin of 1e-12 lies far above the rounding of
+    their y, so every heater that check would reject still gets it.
     """
     low = np.full(len(C), np.inf)
     near = ~(centers[:, 1] > np.abs(C).sum(axis=1) * (1.0 + 1e-12))
     if near.any():
-        low[near] = node_rows(C[near], centers[near], _WALL_CHECK_N)[1].min(axis=1)
+        low[near] = (_lowest_j2(C[near], centers[near]) if C.shape[1] == 2 else
+                     node_rows(C[near], centers[near], _WALL_CHECK_N)[1].min(axis=1))
     return low
 
 
@@ -298,10 +383,9 @@ def _rows(C, centers, q, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
     rows = q.size
     each = kernel(C.reshape(rows, C.shape[2]), centers.reshape(rows, 2), q.reshape(rows),
                   pts, quad_n).reshape(q.shape + (pts.shape[0],))
-    # heaters add in order, originals before mirror images
-    total = np.zeros((q.shape[0], pts.shape[0]))
-    for k in range(each.shape[1]):
-        total += each[:, k]
+    # heaters add in order, originals before mirror images (numpy pairs the
+    # terms instead only for a single point and eight or more rows)
+    total = each.sum(axis=1)
     if wall is Wall.UNBOUNDED:
         return total
     out = np.full((m, pts.shape[0]), np.nan)
@@ -352,15 +436,17 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     Every heater (and wall image) of every configuration is one row of a
     single kernel call. A (row, point) pair whose point lies outside the
     heater's reach sum_k |c_k| takes the exact closed form of the module
-    docstring; only a pair with its point inside the reach runs the
-    quad_n-node quadrature. When every pair takes the closed form, as in
-    almost every sampler sweep, no pair is masked or copied, and J = 2
-    rows skip the general coefficient recursion. The choice is per pair,
-    so a configuration's row does not depend on the others, and a heater
-    contributes to a point outside its reach the same value whatever
-    other points share the call. Rejected
-    configurations come back as non-finite rows: NaN when a heater
-    crosses the wall, otherwise wherever the field is not finite.
+    docstring; a J = 2 pair inside the reach takes the exact root form,
+    and only a pair of any other J inside the reach runs the quad_n-node
+    quadrature. So no J = 2 call draws a boundary node, in either wall
+    mode: the wall check is exact too. When every pair takes the closed
+    form, as in almost every sampler sweep, no pair is masked or copied,
+    and J = 2 rows skip the general coefficient recursion. The choice is
+    per pair, so a configuration's row does not depend on the others, and
+    a J = 2 heater contributes to a point the same value whatever other
+    points share the call. Rejected configurations come back as
+    non-finite rows: NaN when a heater crosses the wall, otherwise
+    wherever the field is not finite.
     """
     return _rows(C, centers, q, points, wall, quad_n, _heater_field)
 

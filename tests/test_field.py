@@ -349,46 +349,83 @@ def test_blocked_grid_next_to_a_heater_is_bit_identical(monkeypatch, wall):
     assert np.isfinite(grid).all()
 
 
-def _ladder(y0s, q=(1.0, 2.0)):
+def _ladder(y0s, q=(1.0, 2.0), J=2):
     """Two-heater configurations (C, centers, q): a heart at (0.5, y0) and a
-    disk at (-0.6, 0.6) for each y0."""
+    disk at (-0.6, 0.6) for each y0, their coefficients padded with zeros
+    to J. The same shapes at J = 5 take the quadrature and the node wall
+    check that J = 2 no longer runs."""
     m = len(y0s)
-    C = np.tile([[0.28, 0.14], [0.2, 0.0]], (m, 1, 1))
+    C = np.zeros((m, 2, J))
+    C[:, :, :2] = [[0.28, 0.14], [0.2, 0.0]]
     centers = np.array([[[0.5, y0], [-0.6, 0.6]] for y0 in y0s])
     return C, centers, np.tile(q, (m, 1))
 
 
 SENSOR_LINE = np.column_stack([np.linspace(-1, 1, 12), np.zeros(12)])
 # The sensor line plus one point inside the reach of every _ladder heater, so
-# that every row runs the quadrature: (0.57, 0.25) lies inside the reach of the
-# heart at y0 = 0.43, (0.57, 0.98) inside those of the hearts at y0 = 0.8, 0.9
-# and 1.1, and (-0.6, 0.6) is the disk's center. Each lies at least 0.18 from
-# every boundary, beyond two node spacings (0.11 at 64 nodes).
+# that every row has an in-reach pair: (0.57, 0.25) lies inside the reach of
+# the heart at y0 = 0.43, (0.57, 0.98) inside those of the hearts at y0 = 0.8,
+# 0.9 and 1.1, and (-0.6, 0.6) is the disk's center. Each lies at least 0.18
+# from every boundary, beyond two node spacings (0.11 at 64 nodes).
 INSIDE = np.vstack([SENSOR_LINE, [[0.57, 0.25], [0.57, 0.98], [-0.6, 0.6]]])
+
+
+def _pair_kernel_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=64):
+    """temperature_rows through the grids' kernel, whose in-reach pairs run
+    the quadrature whatever J."""
+    return fieldmod._rows(C, centers, q, pts, wall, quad_n, fieldmod._pair_rows)
+
+
+def _assert_exact_rows(monkeypatch, C, centers, q, pts, wall=Wall.UNBOUNDED):
+    """The J = 2 stack's temperature_rows draw no boundary node and run no
+    offsets, and each finite row is the sum of its heaters' _exact_pairs,
+    originals before images; returns the rows."""
+    counts = _count_kernel_work(monkeypatch)
+    rows = temperature_rows(C, centers, q, pts, wall)
+    assert not counts
+    monkeypatch.undo()
+    if wall is Wall.ADIABATIC_Y0:
+        C, centers, q = _with_images(C, centers, q)
+    m, h = q.shape
+    each = _exact_pairs(C.reshape(m * h, -1), centers.reshape(m * h, 2), q.reshape(-1),
+                        pts).reshape(m, h, -1)
+    total = np.zeros(rows.shape)
+    for k in range(h):
+        total += each[:, k]
+    clear = np.isfinite(rows).all(axis=1)
+    assert rows[clear].tobytes() == total[clear].tobytes()
+    return rows
 
 
 def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
     # in the first two rows the heart reaches down to 0.066 above the sensor
     # line, inside two node spacings (0.11 at 64 nodes): doubled; the other
-    # rows stay far
-    C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9])
-    rows, counts = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, quad_n=64))
-    assert counts[64] == counts[128] == 1
-    # a sweep-sized call fits in one block: one coarse offset block, then
-    # one block for each of the two doubled rows
-    assert counts["offsets"] == 3
-    for i in range(len(q)):
-        alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])],
-                             INSIDE, quad_n=64)
-        assert rows[i].tobytes() == alone.tobytes()
-    # every heater has a point in its reach: its in-reach pairs are the
-    # quadrature's bit for bit, its others the closed form's, and the rows
-    # their sums
-    C, centers, q = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
-    assert _in_reach(C, centers, q, INSIDE)[0].any(axis=1).all()
-    each = _per_pair(C, centers, q, INSIDE, 64).reshape(len(rows), 2, -1)
-    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+    # rows stay far. The J = 5 heaters run the quadrature on their in-reach
+    # pairs through temperature_rows, the J = 2 ones through _pair_rows
+    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
+        C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9], J=J)
+        rows, counts = _assert_blocking_changes_no_byte(
+            monkeypatch, lambda: evaluate(C, centers, q, INSIDE, quad_n=64))
+        assert counts[64] == counts[128] == 1
+        # a sweep-sized call fits in one block: one coarse offset block, then
+        # one block for each of the two doubled rows
+        assert counts["offsets"] == 3
+        for i in range(len(q)):
+            heaters = [(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])]
+            alone = (temperatures(heaters, INSIDE, quad_n=64) if J == 5 else
+                     fieldmod._configuration(heaters, INSIDE, Wall.UNBOUNDED, 64,
+                                             fieldmod._pair_rows))
+            assert rows[i].tobytes() == alone.tobytes()
+        # every heater has a point in its reach: its in-reach pairs are the
+        # quadrature's bit for bit, its others the closed form's, and the rows
+        # their sums
+        Cr, cr, qr = C.reshape(-1, J), centers.reshape(-1, 2), q.reshape(-1)
+        assert _in_reach(Cr, cr, qr, INSIDE)[0].any(axis=1).all()
+        each = _per_pair(Cr, cr, qr, INSIDE, 64).reshape(len(rows), 2, -1)
+        assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+        monkeypatch.undo()
+    # the J = 2 stack itself takes the root form at its in-reach pairs
+    _assert_exact_rows(monkeypatch, C, centers, q, INSIDE)
 
 
 def _per_pair(C, centers, q, pts, quad_n):
@@ -396,6 +433,18 @@ def _per_pair(C, centers, q, pts, quad_n):
     reach, the closed form at the others."""
     inside, closed = _in_reach(C, centers, q, pts)
     return np.where(inside, quadrature_rows(C, centers, q, pts, quad_n), closed)
+
+
+def _exact_pairs(C, centers, q, pts):
+    """The J = 2 rule (m, p): the root form at the pairs in a row's reach,
+    each evaluated on its own, and the closed form at the others."""
+    inside, out = _in_reach(C, centers, q, pts)
+    for i, j in zip(*np.nonzero(inside)):
+        dx, dy = pts[j] - centers[i]
+        out[i, j] = fieldmod._root_rows(C[i, :1], C[i, 1:], q[i:i + 1], np.array([dx]),
+                                        np.array([dy]), np.array([dx * dx + dy * dy]),
+                                        out[i, j:j + 1].copy())[0]
+    return out
 
 
 @pytest.mark.parametrize("budget", [1 << 16, 1 << 12, 1])
@@ -434,32 +483,41 @@ def test_masked_quadrature_writes_only_the_marked_pairs(monkeypatch, budget):
 
 
 def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
-    C, centers, q = _ladder([0.8, 0.9])
     # a point on the heart's doubled-node boundary of the first row, with
     # INSIDE's points in the reach of every heater, so that each integrates
     # enough pairs for the tiny budgets to split them
-    x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
-    pts = np.vstack([INSIDE, [[x[0, 5], y[0, 5]]]])
-    rows, _ = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, pts, quad_n=64))
-    assert np.isfinite(rows).all()
-    # the node hit's pair too is the quadrature's bit for bit
-    C, centers, q = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
-    assert _in_reach(C, centers, q, pts)[0][0, -1]
-    each = _per_pair(C, centers, q, pts, 64).reshape(len(rows), 2, -1)
-    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
+        C, centers, q = _ladder([0.8, 0.9], J=J)
+        x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
+        pts = np.vstack([INSIDE, [[x[0, 5], y[0, 5]]]])
+        rows, _ = _assert_blocking_changes_no_byte(
+            monkeypatch, lambda: evaluate(C, centers, q, pts, quad_n=64))
+        assert np.isfinite(rows).all()
+        # the node hit's pair too is the quadrature's bit for bit
+        Cr, cr, qr = C.reshape(-1, J), centers.reshape(-1, 2), q.reshape(-1)
+        assert _in_reach(Cr, cr, qr, pts)[0][0, -1]
+        each = _per_pair(Cr, cr, qr, pts, 64).reshape(len(rows), 2, -1)
+        assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+        monkeypatch.undo()
+    # the root form needs no shift on the boundary: the point takes it as is
+    assert np.isfinite(_assert_exact_rows(monkeypatch, C, centers, q, pts)).all()
 
 
 def test_blocked_wall_rows_are_bit_identical(monkeypatch):
     # row 1 crosses the wall (NaN row); the others gain mirror-image rows,
     # which lie below every point and so take the closed form
-    C, centers, q = _ladder([0.43, 0.3, 0.8])
-    rows, counts = _assert_blocking_changes_no_byte(
-        monkeypatch, lambda: temperature_rows(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
+    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
+        C, centers, q = _ladder([0.43, 0.3, 0.8], J=J)
+        rows, counts = _assert_blocking_changes_no_byte(
+            monkeypatch, lambda: evaluate(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
+        assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
+        # the heart of row 1 is the only heater whose reach (0.42) touches
+        # the wall: J = 5 gives it a node check, J = 2 an exact one; then one
+        # kernel call on the clear rows
+        assert counts.get(256, 0) == int(J == 5) and counts[64] == counts[128] == 1
+        monkeypatch.undo()
+    rows = _assert_exact_rows(monkeypatch, C, centers, q, INSIDE, Wall.ADIABATIC_Y0)
     assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
-    # one wall check on the heart of row 1, the only heater whose reach
-    # (0.42) touches the wall, then one kernel call on the clear rows
-    assert counts[256] == 1 and counts[64] == counts[128] == 1
 
 
 def _with_images(C, centers, q):
@@ -482,23 +540,67 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
     assert alone.tobytes() == rows[0].tobytes()
     # the heart at y0 = 0.4 lies within its reach (0.42) of the wall yet
     # clears it (lowest point 0.036), the one at 0.3 crosses it: both get
-    # the node check, and only they
+    # the exact check, and only they; no J = 2 check draws a node
     monkeypatch.undo()
     C, centers, q = _ladder([0.4, 0.3, 0.8])
     checked = []
-    real = fieldmod.node_rows
+    real = fieldmod._lowest_j2
 
-    def recorded(C, ctr, n):
-        if n == 256:
-            checked.append(ctr.copy())
-        return real(C, ctr, n)
-    monkeypatch.setattr(fieldmod, "node_rows", recorded)
+    def recorded(C, ctr):
+        checked.append(ctr.copy())
+        low = real(C, ctr)
+        checked.append(low)
+        return low
+    monkeypatch.setattr(fieldmod, "_lowest_j2", recorded)
+    counts = _count_kernel_work(monkeypatch)
     rows = temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64)
-    assert len(checked) == 1 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
+    assert not counts
+    assert len(checked) == 2 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
+    # the exact lowest points sit at or below the lowest of 65,536 nodes,
+    # by less than that node rule's own error
+    dense = node_rows(C[:2, 0], checked[0], 1 << 16)[1].min(axis=1)
+    assert np.all(checked[1] <= dense) and np.all(dense - checked[1] < 1e-9)
+    np.testing.assert_allclose(checked[1], [0.0363, -0.0637], atol=1e-4)
     assert np.isnan(rows[1]).all()
     clear = temperature_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE,
                              quad_n=64)
     assert rows[[0, 2]].tobytes() == clear.tobytes()
+
+
+def test_exact_wall_clearance_is_the_dense_node_limit():
+    # J = 2 shapes with c2 at and near zero, cusps and self-overlaps: the
+    # exact lowest point lies at or below the lowest of 65,536 nodes, by
+    # less than that rule's own error (the node spacing squared)
+    rng = np.random.default_rng(29)
+    c1 = rng.uniform(0.02, 1.0, 400)
+    c2 = np.concatenate([[0.0, 1e-12, -1e-9], 0.5 * c1[3:8], -0.5 * c1[8:13],
+                         rng.uniform(-1.0, 1.0, 387)])
+    C, centers = np.column_stack([c1, c2]), rng.uniform(-1.0, 1.0, (400, 2))
+    low = fieldmod._lowest_j2(C, centers)
+    dense = np.concatenate([node_rows(C[i:i + 50], centers[i:i + 50], 1 << 16)[1].min(axis=1)
+                            for i in range(0, 400, 50)])
+    reach = np.abs(C).sum(axis=1)
+    assert np.all(low <= dense) and np.all(dense - low <= 1e-8 * reach)
+    np.testing.assert_array_equal(low[:3], centers[:3, 1] - c1[:3])
+
+
+def test_heater_sum_matches_the_ordered_loop():
+    # _rows adds each configuration's heaters (and images) in order, as a
+    # loop from zeros does, signed zeros included: -0.0 terms sum to +0.0
+    rng = np.random.default_rng(30)
+    for h in range(1, 7):
+        for p in (1, 12):
+            each = rng.standard_normal((5, h, p)) * 10.0 ** rng.uniform(-8, 8, (5, h, p))
+            each[0] = -0.0
+            each[1, 0] = -0.0
+            loop = np.zeros((5, p))
+            for k in range(h):
+                loop += each[:, k]
+            got = fieldmod._rows(np.ones((5, h, 2)), np.zeros((5, h, 2)), np.ones((5, h)),
+                                 np.zeros((p, 2)), Wall.UNBOUNDED, 256,
+                                 lambda *a: each.reshape(5 * h, p))
+            assert got.tobytes() == loop.tobytes()
+            assert not np.signbit(got[0]).any()
 
 
 def test_blocked_zero_rows(monkeypatch):
@@ -709,6 +811,107 @@ def test_closed_form_of_a_circle_is_the_exact_monopole():
         assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
 
 
+# --- root form inside the reach (J = 2): exact at every point off the boundary ---
+
+# c2 at and next to zero, univalent shapes, the cusps c1 = 2|c2| (the
+# configs' shapes), and self-overlaps c1 < 2|c2| that cover points twice
+ROOT_SHAPES = [(0.3, 0.0), (0.3, 1e-12), (0.3, -1e-12), (0.3, 1e-9), (0.3, -1e-9),
+               (0.5, 0.1), (0.28, 0.14), (0.5, -0.25), (0.2, 0.3), (0.05, -0.4)]
+
+
+def _boundary_gap(C, center, pts, n=4096):
+    """Distance (p,) of each point from the boundary of the heater C (J,) at
+    center, and how many times the boundary winds around it: the number of
+    times the heater covers the point."""
+    x, y, _, _ = node_rows(C[None], center[None], n)
+    ox, oy = x[0][:, None] - pts[:, 0], y[0][:, None] - pts[:, 1]
+    turn = np.diff(np.arctan2(oy, ox), axis=0, append=np.arctan2(oy[:1], ox[:1]))
+    winding = ((turn + np.pi) % (2.0 * np.pi) - np.pi).sum(axis=0) / (2.0 * np.pi)
+    return np.hypot(ox, oy).min(axis=0), np.rint(winding).astype(int)
+
+
+@pytest.mark.parametrize("c", ROOT_SHAPES)
+def test_root_form_matches_dense_quadrature(monkeypatch, c):
+    # the center and random points of the reach more than 0.02 from the
+    # boundary: temperature_rows draws no node, and agrees with the 4,096-node
+    # quadrature to 1e-15 of max|T|
+    C, center, q = np.array(c), np.array([0.1, -0.2]), np.array([1.3])
+    reach = np.abs(C).sum()
+    pts = np.vstack([center, center + reach * np.random.default_rng(28).uniform(-1, 1, (300, 2))])
+    gap, cover = _boundary_gap(C, center, pts)
+    keep = gap > 0.02
+    assert keep[0] and cover[0] >= 1
+    pts, cover = pts[keep], cover[keep]
+    # some points are uncovered, some covered once, and in a self-overlap
+    # some twice
+    assert (cover == 0).any() and (cover == 1).any()
+    assert (cover == 2).any() == (c[0] < 2.0 * abs(c[1]))
+    counts = _count_kernel_work(monkeypatch)
+    got = temperature_rows(C[None, None], center[None, None], q[None], pts)[0]
+    assert not counts
+    ref = quadrature_rows(C[None], center[None], q, pts, 4096)[0]
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), c
+
+
+@pytest.mark.parametrize("c", [(0.5, 0.1), (0.28, 0.14), (0.3, 1e-12), (0.2, 0.3)])
+def test_root_form_is_smooth_across_the_boundary(c):
+    # the field is continuously differentiable across the boundary, where a
+    # root crosses the unit circle and the root form changes branch: at
+    # points 1e-9 and 2e-9 either side of the boundary along its normal,
+    # the step across equals twice the steps on each side, to rounding. A
+    # branch whose constant were off would jump. Boundary points near a
+    # cusp or a self-crossing are skipped
+    C, center, q = np.array(c), np.array([0.1, -0.2]), np.array([[1.3]])
+    theta = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False) + 0.01
+    k = np.arange(1.0, 3.0)
+    ct, st = np.cos(np.outer(theta, k)), np.sin(np.outer(theta, k))
+    bx, by = center[0] + ct @ C, center[1] + st @ C
+    tx, ty = -(st * k) @ C, (ct * k) @ C
+    speed = np.hypot(tx, ty)
+    nx, ny = ty / speed, -tx / speed  # outward, with the region on the left
+    gap, _ = _boundary_gap(C, center, np.column_stack([bx, by]) + 0.01 * np.column_stack([nx, ny]))
+    gap_in, _ = _boundary_gap(C, center, np.column_stack([bx, by]) - 0.01 * np.column_stack([nx, ny]))
+    fine = (speed > 0.05) & (gap > 0.009) & (gap_in > 0.009)
+    assert fine.sum() >= 24
+    steps = np.array([-2e-9, -1e-9, 1e-9, 2e-9])
+    pts = np.stack([bx[fine, None] + steps * nx[fine, None],
+                    by[fine, None] + steps * ny[fine, None]], axis=2).reshape(-1, 2)
+    T = temperature_rows(C[None, None], center[None, None], q, pts)[0].reshape(-1, 4)
+    across = 0.5 * (T[:, 2] - T[:, 1])
+    tol = 64 * np.finfo(float).eps * np.abs(T).max()
+    assert np.abs(across - (T[:, 3] - T[:, 2])).max() <= tol
+    assert np.abs(across - (T[:, 1] - T[:, 0])).max() <= tol
+
+
+def test_root_form_at_wall_images():
+    # the heart clears the wall by 0.026, so its image reaches above it:
+    # points on and just above the wall lie in the reach of both, more than
+    # 0.02 from either boundary, and the two rows sum to the 4,096-node
+    # quadrature of heater and image
+    C, centers, q = _ladder([0.39], q=(1.5,))
+    C, centers = C[:, :1], centers[:, :1]
+    pts = np.column_stack([np.linspace(0.4, 0.6, 21), np.tile([0.0, 0.003], 11)[:21]])
+    both = _with_images(C, centers, q)
+    flat = tuple(a.reshape(2, *a.shape[2:]) for a in both)
+    inside = _in_reach(*flat, pts)[0]
+    assert inside.all()
+    for row in range(2):
+        assert _boundary_gap(flat[0][row], flat[1][row], pts)[0].min() > 0.02
+    got = temperature_rows(C, centers, q, pts, Wall.ADIABATIC_Y0)[0]
+    ref = quadrature_rows(*flat, pts, 4096).sum(axis=0)
+    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _prior_box(name, n=2000, seed=23):
+    """n heaters drawn across the config's estimator prior box, one per row
+    (C, centers, q), and the config."""
+    config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    bounds = config.spec.bounds
+    heaters = np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1],
+                                                  (n, len(bounds))).reshape(-1, 5)
+    return heaters[:, 3:], heaters[:, :2], heaters[:, 2], config
+
+
 @pytest.mark.parametrize("name", ["single_heater", "two_heaters"])
 def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     # 2,000 draws across the estimator's prior box, on the config's sensors,
@@ -719,24 +922,46 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     # sums and the reference round at a few ulp of max|T| (the 4,096- and
     # 8,192-node references differ by up to 7 ulp on these rows), which the
     # comparison allows: 16 ulp of the row's max|T|.
-    config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
-    pts, bounds = config.sensors.points, config.spec.bounds
-    rng = np.random.default_rng(23)
-    heaters = rng.uniform(bounds[:, 0], bounds[:, 1], (2000, len(bounds))).reshape(-1, 5)
-    C, centers, q = heaters[:, 3:], heaters[:, :2], heaters[:, 2]
+    C, centers, q, config = _prior_box(name)
+    pts = config.sensors.points
     got = temperature_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
     ref = quadrature_rows(C, centers, q, pts, 4096)
     before = quadrature_rows(C, centers, q, pts, 256)
-    # the in-reach pairs are the quadrature's bit for bit, the others the
-    # closed form's, and about 30 % of the rows hold an in-reach pair
-    inside, closed = _in_reach(C, centers, q, pts)
+    # the in-reach pairs are the root form's bit for bit, each pair on its
+    # own, the others the closed form's; about 30 % of the rows hold an
+    # in-reach pair
+    inside = _in_reach(C, centers, q, pts)[0]
     assert 0.2 < inside.any(axis=1).mean() < 0.5
-    assert got[inside].tobytes() == before[inside].tobytes()
-    assert got[~inside].tobytes() == closed[~inside].tobytes()
+    assert got.tobytes() == _exact_pairs(C, centers, q, pts).tobytes()
     slack = 16 * np.finfo(float).eps * np.abs(ref).max(axis=1)
     assert np.all(np.abs(got - ref).max(axis=1) <= np.abs(before - ref).max(axis=1) + slack)
 
 
+@pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
+def test_prior_box_stacks_draw_no_boundary_node(monkeypatch, wall):
+    # 2,000 two-heater stacks across the prior box: the rows with a sensor in
+    # some heater's (or image's) reach take the root form, and in wall mode
+    # the heaters whose reach touches the wall take the exact check, so no
+    # call draws a node or measures an offset
+    C, centers, q, config = _prior_box("two_heaters", 4000, seed=27)
+    C, centers, q = C.reshape(-1, 2, 2), centers.reshape(-1, 2, 2), q.reshape(-1, 2)
+    pts = config.sensors.points
+    checked = []
+    real = fieldmod._lowest_j2
+    monkeypatch.setattr(fieldmod, "_lowest_j2", lambda *a: checked.append(len(a[0])) or real(*a))
+    counts = _count_kernel_work(monkeypatch)
+    rows = temperature_rows(C, centers, q, pts, wall)
+    assert not counts
+    if wall is Wall.ADIABATIC_Y0:
+        # a third to two thirds of the stacks cross the wall; every heater
+        # within its reach of the wall was checked
+        reaching = centers[:, :, 1] <= np.abs(C).sum(axis=2) * (1.0 + 1e-12)
+        assert 0.3 < np.isnan(rows).all(axis=1).mean() < 0.7
+        assert sum(checked) == np.count_nonzero(reaching)
+        C, centers, q = _with_images(C, centers, q)
+    assert np.isfinite(rows).all(axis=1).sum() + np.isnan(rows).all(axis=1).sum() == len(rows)
+    inside = _in_reach(C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1), pts)[0]
+    assert inside.any(axis=1).mean() > 0.2
 # the J = 5 shape loops over itself; its center lies above its reach (0.58)
 J5_HEATER = np.array([[0.3, 0.9, 1.5, 0.2, -0.1, 0.15, -0.05, 0.08]])
 
@@ -811,20 +1036,22 @@ def test_sweep_near_the_truth_runs_no_quadrature(monkeypatch, name):
     assert np.isfinite(rows).all()
 
 
-def test_row_with_a_sensor_inside_its_reach_runs_the_quadrature(monkeypatch):
-    # the heart at y0 = 0.3 reaches some of the sensors (reach 0.42), the
-    # one at y0 = 0.8 none; each configuration holds one heater. Only the
-    # in-reach sensors of the first run the quadrature
+def test_row_with_a_sensor_inside_its_reach_runs_no_quadrature(monkeypatch):
+    # the heart at y0 = 0.3 reaches some of the sensors (reach 0.42) and
+    # covers the one nearest below it, the one at y0 = 0.8 reaches none; each
+    # configuration holds one heater. The in-reach sensors of the first take
+    # the root form, and no call draws a node or measures an offset
     C, centers, q = _ladder([0.3, 0.8], q=(1.5,))
     C, centers = C[:, :1], centers[:, :1]
-    counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, SENSOR_LINE)
-    assert counts[256] == 1 and counts["offsets"] > 0
+    rows = _assert_exact_rows(monkeypatch, C, centers, q, SENSOR_LINE)
     inside, closed = _in_reach(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE)
     assert 0 < np.count_nonzero(inside[0]) < len(SENSOR_LINE) and not inside[1].any()
-    quad = quadrature_rows(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 256)
-    assert rows[inside].tobytes() == quad[inside].tobytes()
     assert rows[~inside].tobytes() == closed[~inside].tobytes()
+    # every sensor lies at least 0.032 from the boundary, where the root form
+    # and the 4,096-node quadrature agree to rounding
+    ref = quadrature_rows(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 4096)
+    assert np.abs(rows - ref).max() <= 1e-15 * np.abs(ref).max()
+    quad = quadrature_rows(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE, 256)
     np.testing.assert_allclose(rows[1], quad[1], rtol=1e-13)
 
 

@@ -47,6 +47,12 @@ All four report.json hashes were re-recorded when the config lost its
 quad_n key (the quadrature is the field's own, at 256 nodes): the echoed
 config lost its "quad_n": 256 line, and each report is otherwise
 unchanged, equal as JSON with that key removed.
+The single_heater and single_heater_ladder report.json hashes were
+re-recorded when J = 2 sensors inside a heater's reach took the exact
+root form in place of the 256-node quadrature: residuals_best[2], the
+sensor at (1, 0) inside the best mean's reach, moved by 1.9e-13 and
+1.8e-15, to within 7e-18 of the 4,096- and 8,192-node quadratures. No
+other byte of any case moved; samples.csv did not.
 The hashes hold for numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; another
 numpy or BLAS build may round differently and must re-record them from a
 known-good commit.
@@ -67,7 +73,7 @@ GOLDEN = {
     "single_heater": {
         "best_grid.csv": "534c18ede0f0ed89e7089b84a4d97dd623e50af5ea6582a2183eb1c6a73d3e98",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "6a2c0e22caf0b0ae905a6ca2758dc51b8d1454071505f669cad5ae04f72c9feb",
+        "report.json": "1b4424e097aa9b64edd868adf78316b7bef6d389c8cd27c6a2d3d822a4b56f9b",
         "samples.csv": "3b881b745df5d2908c372456cd6a58c267bc61c371603c77a9eb74756934aab9",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
@@ -75,7 +81,7 @@ GOLDEN = {
     "single_heater_ladder": {
         "best_grid.csv": "5e96802ad18cccfa0183d2b7942849a898cb5d8da4a9375ae23a68c74c3a6711",
         "best_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
-        "report.json": "e6c17fc8c773e25302423791afeee77ad6c7b7e43a58f1fd6f4c3013cc2cdbff",
+        "report.json": "5ea59ef17659a0c2e920db2cd76ddfbf63cb15864de279e2c58fa2c959ddd1ae",
         "samples.csv": "fbadc9b876ecf829b74193f6b5c119a902c78859a24dac34be3e6a1f310c7132",
         "truth_grid.csv": "02982d8a4c29e74b621cab9a44050a3a057ddc1b27e83a17628e7a3d6cf71314",
         "truth_grid.meta.json": "9eafc211567658f7acc991984bc7c168b1b510560c756699123071a30759989d",
