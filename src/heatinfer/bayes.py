@@ -88,7 +88,10 @@ class StateSpec:
         object.__setattr__(self, "_lo", np.fmax(b[:, 0], np.nextafter(floor, np.inf)))
         object.__setattr__(self, "_hi", b[:, 1].copy())
         idx = np.array(sorted(self.known), dtype=int)
-        object.__setattr__(self, "_known_idx", idx)
+        # consecutive components read as a slice, a cheaper index than the array
+        consecutive = len(idx) and idx[-1] - idx[0] == len(idx) - 1
+        object.__setattr__(self, "_known_idx",
+                           slice(idx[0], idx[-1] + 1) if consecutive else idx)
         object.__setattr__(self, "_known_mean",
                            np.array([self.known[i][0] for i in idx]))
         object.__setattr__(self, "_known_var",
@@ -111,19 +114,12 @@ def pack(states) -> np.ndarray:
     return np.asarray(states, dtype=float).reshape(-1)
 
 
-def _blocks(X: np.ndarray, n_heaters: int):
-    """Coefficients (m, h, 2), centers (m, h, 2) and strengths (m, h) of states X (m, dim)."""
-    b = X.reshape(len(X), n_heaters, BLOCK)
-    return b[:, :, 3:], b[:, :, :2], b[:, :, 2]
-
-
 def heaters_from(x: np.ndarray, n_heaters: int):
     """(HeaterShape, strength) pairs for the forward model, one per block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (BLOCK * n_heaters,):
         raise ValueError(f"expected length {BLOCK * n_heaters}, got {x.shape}")
-    C, centers, q = _blocks(x[None], n_heaters)
-    return [(HeaterShape(C[0, k], centers[0, k]), q[0, k]) for k in range(n_heaters)]
+    return [(HeaterShape(b[3:], b[:2]), b[2]) for b in x.reshape(n_heaters, BLOCK)]
 
 
 def sort_blocks(b: np.ndarray) -> np.ndarray:
@@ -149,30 +145,34 @@ def canonicalize(x: np.ndarray, spec: StateSpec) -> np.ndarray:
     return x if (b[:, :-1, 2] < b[:, 1:, 2]).all() else sort_blocks(b).reshape(x.shape)
 
 
-def _log_prior_rows(X: np.ndarray, spec: StateSpec) -> np.ndarray:
-    """log_prior of every row of X (m, dim). A NaN compares as inside."""
-    inside = ~((X < spec._lo) | (X > spec._hi)).any(axis=1)
-    if len(spec._known_idx) == 0:
-        return np.where(inside, 0.0, -np.inf)
+def _known_prior(X: np.ndarray, spec: StateSpec):
+    """The sharp Gaussians' log prior (m,) of the rows of X (m, dim), or
+    0.0 when no component is known."""
+    if not spec.known:
+        return 0.0
     d = X[:, spec._known_idx] - spec._known_mean
-    return np.where(inside, -0.5 * (d * d / spec._known_var).sum(axis=1), -np.inf)
+    return -0.5 * (d * d / spec._known_var).sum(axis=1)
+
+
+def _check_states(X: np.ndarray, spec: StateSpec) -> None:
+    if X.shape[1] != spec.dim:
+        raise ValueError(f"expected length {spec.dim}, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ValueError("states must be finite")
 
 
 def _make_likelihood(obs: Observation, sensors, spec: StateSpec):
-    """The log likelihood of every row of a stack (m, dim), for stacks whose
-    c_1 are all positive. The setup is checked here, once."""
+    """The log likelihood of every row of a finite stack (m, dim) whose c_1
+    are all positive. The setup is checked here, once."""
     if obs.noise_sigma <= 0.0:
         raise ValueError("inference requires noise_sigma > 0")
-    var = obs.noise_sigma ** 2
+    values, var = obs.values, obs.noise_sigma ** 2
+    points, wall, n = sensors.points, sensors.wall, spec.n_heaters
 
     def likelihood(X: np.ndarray) -> np.ndarray:
-        if X.shape[1] != spec.dim:
-            raise ValueError(f"expected length {spec.dim}, got {X.shape[1]}")
-        if not np.isfinite(X).all():
-            raise ValueError("states must be finite")
+        b = X.reshape(-1, BLOCK)  # one heater per row
         # resolved per call, so a patched forward model is the one scored
-        h = fieldmod.temperature_rows(*_blocks(X, spec.n_heaters), sensors.points, sensors.wall)
-        r = obs.values - h
+        r = values - fieldmod.stack_rows(b[:, 3:], b[:, :2], b[:, 2], n, points, wall)
         ll = -0.5 * (r[:, None, :] @ r[:, :, None])[:, 0, 0] / var
         # a non-finite field row gives a NaN or -inf ll; fmax maps NaN to -inf
         return np.fmax(ll, -np.inf)
@@ -189,7 +189,9 @@ def log_prior(x: np.ndarray, spec: StateSpec) -> float:
 
     -inf outside B, below the half-plane, or for a degenerate c_1 <= 0.
     """
-    return float(_log_prior_rows(_row(x), spec)[0])
+    x = _row(x)
+    inside = ~((x < spec._lo) | (x > spec._hi)).any(axis=1)  # a NaN compares as inside
+    return float(np.where(inside, _known_prior(x, spec), -np.inf)[0])
 
 
 def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec) -> float:
@@ -200,8 +202,9 @@ def log_likelihood(x: np.ndarray, obs: Observation, sensors, spec: StateSpec) ->
     the state; any other error propagates.
     """
     x, likelihood = _row(x), _make_likelihood(obs, sensors, spec)
+    _check_states(x, spec)
     # c_1 <= 0 is a degenerate shape; in the target the prior rejects it first
-    if x.shape[1] == spec.dim and np.isfinite(x).all() and not (x[0, 3::BLOCK] > 0.0).all():
+    if not (x[0, 3::BLOCK] > 0.0).all():
         return -np.inf
     return float(likelihood(x)[0])
 
@@ -218,19 +221,35 @@ def make_log_posterior(obs: Observation, sensors, spec: StateSpec):
     their log posteriors (m,). What depends only on the setup is prepared
     once: noise_sigma > 0 is checked here, and the spec holds the prior's
     support as one lower bound (with the half-plane and c_1 > 0 folded in)
-    and one upper bound per component. Only rows inside the support reach
-    the one forward-model call, so no c_1 > 0 mask is needed after it.
+    and one upper bound per component.
+
+    One test of the whole stack against the box, whose bounds are finite
+    so that inf and NaN fail it, sends the common stack, every row inside
+    the support, straight to the one forward-model call. Otherwise the
+    rows outside the support score -inf and are dropped, a NaN (which
+    compares as inside) raises, and the rest take the same call. Only
+    rows inside the support reach it, so no c_1 > 0 mask follows it. A
+    row scores its log likelihood plus the known components' log prior,
+    whatever other rows share the call.
     """
     likelihood = _make_likelihood(obs, sensors, spec)
+    lo, hi, dim = spec._lo, spec._hi, spec.dim
+    top = np.finfo(float).max
+    box_lo, box_hi = np.fmax(lo, -top), np.fmin(hi, top)
 
     def target(X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        out = _log_prior_rows(X, spec)
-        inside = out != -np.inf
-        if inside.all():
-            out += likelihood(X)
-        elif inside.any():
-            out[inside] += likelihood(X[inside])
+        if X.shape[1] != dim:
+            raise ValueError(f"expected length {dim}, got {X.shape[1]}")
+        box = (box_lo <= X) & (X <= box_hi)
+        if np.count_nonzero(box) == box.size:
+            return likelihood(X) + _known_prior(X, spec)
+        inside = ~((X < lo) | (X > hi)).any(axis=1)
+        out = np.full(len(X), -np.inf)
+        if inside.any():
+            X = X[inside]
+            _check_states(X, spec)
+            out[inside] = likelihood(X) + _known_prior(X, spec)
         return out
 
     return target

@@ -240,11 +240,8 @@ def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
     whose offsets p' = dx + i dy (m, p) from the row's center, of squared
     length r2, all lie outside the row's reach: the module docstring's sum."""
     J = C.shape[1]
-    if J == 2:  # the sampler's every row: w_0 = c1^2 + 2 c2^2, w_1 Re g_1 = -c1^2 c2 Re(1/p')
-        c1, c2 = C[:, 0], C[:, 1]
-        acc = (c1 * c1 + c2 * 2.0 * c2)[:, None] * (0.5 * np.log(r2))
-        acc += (-(c1 * c2 * c1))[:, None] * (dx / r2)
-        return -0.5 * q[:, None] * acc
+    if J == 2:
+        return _exterior_j2(C[:, 0], C[:, 1], q, dx, dy, r2)
     c = C.T  # c[k - 1] is c_k
     kc = c * np.arange(1.0, J + 1.0)[:, None]
     w = kc[0] * c  # w[d] = sum_j j c_j c_{j+d}, accumulated over j
@@ -259,6 +256,14 @@ def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
             gn = gn + (n - k) * c[k - 1][:, None] * g[n - k]
         g.append(gn * s / n)
         acc += w[n][:, None] * g[n].real
+    return -0.5 * q[:, None] * acc
+
+
+def _exterior_j2(c1, c2, q, dx, dy, r2) -> np.ndarray:
+    """_exterior_rows for J = 2, the sampler's every row: w_0 = c1^2 + 2 c2^2
+    and w_1 Re g_1 = -c1^2 c2 Re(1/p'), one log and one division per pair."""
+    acc = (c1 * c1 + c2 * 2.0 * c2)[:, None] * (0.5 * np.log(r2))
+    acc -= (c1 * c2 * c1)[:, None] * (dx / r2)  # adding -(a b) is subtracting a b, bit for bit
     return -0.5 * q[:, None] * acc
 
 
@@ -317,17 +322,21 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
     r2 = dx * dx + dy * dy
-    reach = np.abs(C).sum(axis=1)
+    if C.shape[1] != 2:
+        reach = np.abs(C).sum(axis=1)
+        if np.count_nonzero(r2 > (reach * reach)[:, None]) == r2.size:
+            return _exterior_rows(C, q, dx, dy, r2)
+        return _pair_rows(C, centers, q, pts, quad_n)
+    c1, c2 = C[:, 0], C[:, 1]
+    reach = c1 + np.abs(c2)  # sum_k |c_k| bit for bit, since c_1 > 0
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
-        return _exterior_rows(C, q, dx, dy, r2)
-    if C.shape[1] != 2:
-        return _pair_rows(C, centers, q, pts, quad_n)
+        return _exterior_j2(c1, c2, q, dx, dy, r2)
     with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
-        out = _exterior_rows(C, q, dx, dy, r2)
+        out = _exterior_j2(c1, c2, q, dx, dy, r2)
     inside = ~outside
     rows = np.nonzero(inside)[0]
-    out[inside] = _root_rows(C[rows, 0], C[rows, 1], q[rows], dx[inside], dy[inside], r2[inside],
+    out[inside] = _root_rows(c1[rows], c2[rows], q[rows], dx[inside], dy[inside], r2[inside],
                              out[inside])
     return out
 
@@ -366,31 +375,42 @@ def _wall_clearance(C, centers) -> np.ndarray:
     return low
 
 
-def _rows(C, centers, q, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
-    """temperature_rows, with kernel(C, centers, q, pts, quad_n) giving the
-    field (rows, p) of one heater per row for all heaters and images."""
+def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
+           kernel) -> np.ndarray:
+    """stack_rows of m configurations, with kernel(C, centers, q, pts,
+    quad_n) giving the field (rows, p) of one heater per row for all
+    heaters and images."""
     if quad_n < 32:
         raise ValueError(f"quad_n must be at least 32, got {quad_n}")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m, h = q.shape
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:  # one point
+        pts = pts[None]
+    n, p = m, len(pts)  # the configurations the kernel scores, and the points
     if wall is Wall.ADIABATIC_Y0:
-        low = _wall_clearance(C.reshape(m * h, C.shape[2]), centers.reshape(m * h, 2))
-        clear = np.all(low.reshape(m, h) > 0.0, axis=1)
-        C, centers, q = C[clear], centers[clear], q[clear]
-        C = np.concatenate([C, C], axis=1)
-        centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1)
-        q = np.concatenate([q, q], axis=1)
-    rows = q.size
-    each = kernel(C.reshape(rows, C.shape[2]), centers.reshape(rows, 2), q.reshape(rows),
-                  pts, quad_n).reshape(q.shape + (pts.shape[0],))
-    # heaters add in order, originals before mirror images (numpy pairs the
-    # terms instead only for a single point and eight or more rows)
-    total = each.sum(axis=1)
+        J = C.shape[1]
+        clear = np.all((_wall_clearance(C, centers) > 0.0).reshape(m, h), axis=1)
+        C, centers = C.reshape(m, h, J)[clear], centers.reshape(m, h, 2)[clear]
+        q = q.reshape(m, h)[clear]
+        n, h = len(q), 2 * h
+        C = np.concatenate([C, C], axis=1).reshape(n * h, J)
+        centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1).reshape(n * h, 2)
+        q = np.concatenate([q, q], axis=1).reshape(n * h)
+    each = kernel(C, centers, q, pts, quad_n)
+    # heaters add in order from +0.0, originals before mirror images (numpy
+    # pairs the terms instead only for a single point and more than eight rows)
+    total = each + 0.0 if h == 1 else each.reshape(n, h, p).sum(axis=1)
     if wall is Wall.UNBOUNDED:
         return total
-    out = np.full((m, pts.shape[0]), np.nan)
+    out = np.full((m, p), np.nan)
     out[clear] = total
     return out
+
+
+def _rows(C, centers, q, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
+    """_stack for configurations given as C (m, h, J), centers (m, h, 2) and q (m, h)."""
+    m, h = q.shape
+    return _stack(C.reshape(m * h, C.shape[2]), centers.reshape(m * h, 2), q.reshape(m * h), m,
+                  h, points, wall, quad_n, kernel)
 
 
 def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
@@ -449,6 +469,16 @@ def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
     wherever the field is not finite.
     """
     return _rows(C, centers, q, points, wall, quad_n, _heater_field)
+
+
+def stack_rows(C, centers, q, h: int, points, wall: Wall = Wall.UNBOUNDED,
+               quad_n: int = 256) -> np.ndarray:
+    """temperature_rows of m configurations of h heaters each, given as
+    m * h heater rows: C (m * h, J), centers (m * h, 2) and q (m * h,),
+    configuration i's heaters at rows i * h to i * h + h - 1. The sampler's
+    stack of states is this layout already, so its one call per sweep
+    reshapes nothing."""
+    return _stack(C, centers, q, len(q) // h, h, points, wall, quad_n, _heater_field)
 
 
 def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> np.ndarray:

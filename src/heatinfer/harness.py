@@ -477,11 +477,15 @@ def _component_header(n_heaters: int):
 
 def _write_csv(path: str, rows: np.ndarray, head=()) -> None:
     """The rows of head, then those of rows (n, k) as CSV, each value as
-    the shortest repr that reads back bitwise."""
+    the shortest repr that reads back bitwise, one row at a time.
+
+    These are csv.writer's bytes: neither a float's repr nor a header name
+    holds a comma, quote or line break, so no field needs quoting, and the
+    excel dialect ends each row with CR LF.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerows(head)
-        w.writerows(map(repr, row.tolist()) for row in rows)
+        fh.writelines(",".join(row) + "\r\n" for row in head)
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
 
 
 def write_samples(samples: np.ndarray, path: str) -> None:
@@ -497,7 +501,11 @@ def read_samples(path: str) -> np.ndarray:
     header's, or that holds anything but finite numbers, is rejected.
     """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as e:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise ValueError(f"{path}: empty samples file")
     width = len(rows[0])

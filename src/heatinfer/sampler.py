@@ -13,6 +13,7 @@ for the exchanges), so results are bit-reproducible regardless of how
 chain updates are scheduled.
 """
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -124,10 +125,11 @@ def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
     """
     if var <= 0.0:
         raise ValueError("proposal variance must be positive")
-    steps = np.empty(ladder.states.shape)
-    for rng, row in zip(ladder.rngs, steps):
+    proposals = np.empty(ladder.states.shape)
+    for rng, row in zip(ladder.rngs, proposals):
         rng.standard_normal(out=row)
-    proposals = ladder.states + np.sqrt(var) * steps
+    proposals *= math.sqrt(var)  # the steps, then the states they move
+    proposals += ladder.states
     if canon is not None:
         proposals = canon(proposals)
     lps = np.asarray(target(proposals), dtype=float).tolist()

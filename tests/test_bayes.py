@@ -1,3 +1,7 @@
+import collections
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from heatinfer.bayes import (BLOCK, Observation, StateSpec, canonicalize,
                              heaters_from, make_log_posterior, pack)
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall, WallGeometryError,
                              observe)
+from heatinfer.harness import parse_config, synthesize
 from heatinfer.sampler import ChainLadder, McmcSchedule, run
 from heatinfer.shapes import DegenerateShapeError, HeaterShape
 
@@ -149,13 +154,13 @@ def test_posterior_truth_noiseless():
 
 def test_posterior_short_circuits_forward_model(monkeypatch):
     calls = {"n": 0}
-    real = bayes.fieldmod.temperature_rows
+    real = bayes.fieldmod.stack_rows
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(bayes.fieldmod, "temperature_rows", counting)
+    monkeypatch.setattr(bayes.fieldmod, "stack_rows", counting)
     obs = _clean_obs()
     spec = StateSpec.create(1)
     out = log_posterior(pack([[5.0, 0.8, 1.0, 0.5, 0.25]]), obs, SENSORS, spec)
@@ -201,7 +206,7 @@ def test_programming_error_is_not_a_rejection(monkeypatch):
         raise ValueError("bug in the forward model")
 
     obs = _clean_obs()
-    monkeypatch.setattr(bayes.fieldmod, "temperature_rows", broken)
+    monkeypatch.setattr(bayes.fieldmod, "stack_rows", broken)
     with pytest.raises(ValueError, match="bug in the forward model"):
         log_posterior(pack([TRUTH]), obs, SENSORS, StateSpec.create(1))
 
@@ -399,6 +404,86 @@ def test_target_scores_the_prior_edges_as_each_row_alone(wall, half_plane):
     unbounded = wall is Wall.UNBOUNDED
     assert np.isfinite(got[4]) == unbounded
     assert np.isfinite(got[[3, 13]]).tolist() == [unbounded and not half_plane] * 2
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+
+def _closed_form(shape, q, points):
+    """The field module docstring's J = 2 closed form, op for op, with the
+    offsets p' = (dx, dy) and r2 = |p'|^2 of the points from the center."""
+    (c1, c2), (x0, y0) = shape.c, shape.center
+    dx, dy = points[:, 0] - x0, points[:, 1] - y0
+    r2 = dx * dx + dy * dy
+    acc = (c1 * c1 + c2 * 2.0 * c2) * (0.5 * np.log(r2)) - (c1 * c2 * c1) * (dx / r2)
+    return -0.5 * q * acc, r2 > (c1 + abs(c2)) ** 2
+
+
+def _summed_alone(x, obs, sensors, spec):
+    """_scored_alone of a state the target accepts, with its heaters and
+    their wall images each taken alone and added from zeros in order,
+    originals before images: the closed form above at the sensors outside
+    a heater's reach, an unbounded observe of that heater at the others."""
+    heaters = heaters_from(x, spec.n_heaters)
+    if sensors.wall is Wall.ADIABATIC_Y0:
+        heaters += [(HeaterShape(s.c, (s.center[0], -s.center[1])), v) for s, v in heaters]
+    total = np.zeros(len(sensors))
+    for heater in heaters:
+        closed, outside = _closed_form(*heater, sensors.points)
+        total = total + np.where(outside, closed, observe([heater], SensorArray(sensors.points)))
+    r = obs.values - total
+    return log_prior(x, spec) + -0.5 * float(r @ r) / (obs.noise_sigma ** 2)
+
+
+def _prior_box_stacks(spec, rng, n_stacks=250, m=5):
+    """Stacks (n_stacks, m, dim) drawn across the prior box, with 5 % of the
+    entries on a bound, 4 % of the rows outside the box in one component and
+    2 % holding one infinite entry."""
+    lo, hi = spec.bounds[:, 0], spec.bounds[:, 1]
+    X = rng.uniform(lo, hi, (n_stacks * m, spec.dim))
+    edge = rng.random(X.shape) < 0.05
+    X[edge] = np.where(rng.random(X.shape) < 0.5, lo, hi)[edge]
+    rows, cols = np.arange(len(X)), rng.integers(0, spec.dim, len(X))
+    out = rng.random(len(X)) < 0.04
+    X[rows[out], cols[out]] = np.where(rng.random(out.sum()) < 0.5, lo[cols[out]] - 0.5,
+                                       hi[cols[out]] + 0.5)
+    inf = rng.random(len(X)) < 0.02
+    X[rows[inf], cols[inf]] = np.where(rng.random(inf.sum()) < 0.5, -np.inf, np.inf)
+    return X.reshape(n_stacks, m, spec.dim)
+
+
+@pytest.mark.parametrize("half_plane", [True, False])
+@pytest.mark.parametrize("wall", [False, True])
+@pytest.mark.parametrize("name", ["single_heater", "two_heaters"])
+def test_prior_box_stacks_score_each_row_alone(name, wall, half_plane):
+    # 250 five-row stacks across the prior box of a shipped config's layout:
+    # every row scores as it does alone, bit for bit, whatever the other rows
+    # of its stack are: out of the box, infinite, with a sensor in a
+    # heater's (or image's) reach, crossing the wall, or none of these
+    with open(os.path.join(CONFIG_DIR, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    doc["sensors"]["wall"] = wall
+    doc["estimator"]["half_plane"] = half_plane
+    config = parse_config(doc)
+    spec, sensors, obs = config.spec, config.sensors, synthesize(config)
+    target = make_log_posterior(obs, sensors, spec)
+    rng = np.random.default_rng([int(wall), int(half_plane), spec.n_heaters])
+    stacks = _prior_box_stacks(spec, rng)
+    kinds = collections.Counter()
+    for stack in stacks:
+        for x, g in zip(stack, target(stack)):
+            alone = _scored_alone(x, obs, sensors, spec)
+            assert g.tobytes() == np.float64(alone).tobytes()
+            if alone > -np.inf:
+                assert g.tobytes() == np.float64(_summed_alone(x, obs, sensors, spec)).tobytes()
+            b = x.reshape(-1, BLOCK)
+            d2 = (sensors.points[:, 0] - b[:, 0:1]) ** 2 + (sensors.points[:, 1] - b[:, 1:2]) ** 2
+            kinds["inf"] += not np.isfinite(x).all()
+            kinds["out"] += log_prior(x, spec) == -np.inf
+            reach = b[:, 3] + abs(b[:, 4])
+            kinds["in_reach"] += bool(alone > -np.inf and (d2 <= (reach ** 2)[:, None]).any())
+            kinds["finite"] += alone > -np.inf
+    assert min(kinds.values()) >= 10, kinds
 
 
 @pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -531,6 +532,9 @@ BAD_SAMPLES = {
     "long_row": ("0.5,0.8,1,0.5,0.25,7\n", "row 1: 6 values, the header names 5"),
     "not_a_number": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,x,0.5,0.25\n",
                      "row 2: could not convert string to float: 'x'"),
+    # the csv module refuses a field over its size limit
+    "huge_field": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,1,0.5," + "1" * 131073 + "\n",
+                   "line 3: field larger than field limit (131072)"),
 }
 
 
@@ -552,3 +556,21 @@ def test_read_samples_header_only(tmp_path):
     path = tmp_path / "samples.csv"
     path.write_text(HEADER)
     assert read_samples(str(path)).shape == (0, 5)
+
+
+def test_csv_bytes_are_the_csv_modules(tmp_path):
+    # _write_csv joins reprs itself; the bytes are those csv.writer wrote,
+    # for the header and for floats whose reprs take every form: signed
+    # zero, subnormal, exponent, long mantissa and the largest magnitude
+    head = [harness._component_header(1)]
+    rows = np.array([[-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2],
+                     [-1.7976931348623157e308, 0.5, -2.0, 123456.789, 1e-300]])
+    harness._write_csv(str(tmp_path / "fast.csv"), rows, head)
+    with open(tmp_path / "module.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerows(head)
+        w.writerows(map(repr, row.tolist()) for row in rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
+    harness._write_csv(str(tmp_path / "bare.csv"), rows)
+    assert (tmp_path / "bare.csv").read_bytes() == \
+        (tmp_path / "module.csv").read_bytes().split(b"\r\n", 1)[1]
