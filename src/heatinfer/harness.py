@@ -7,6 +7,7 @@ probable component. All file formats are plain CSV/JSON so external
 tools can re-plot without this package.
 """
 
+import array
 import contextlib
 import csv
 import json
@@ -477,7 +478,8 @@ def _component_header(n_heaters: int):
 
 def _write_csv(path: str, rows: np.ndarray, head=()) -> None:
     """The rows of head, then those of rows (n, k) as CSV, each value as
-    the shortest repr that reads back bitwise, one row at a time.
+    the shortest repr that reads back bitwise, one row at a time; a row with
+    the previous row's bytes (a rejected proposal's draw) reuses its line.
 
     These are csv.writer's bytes: neither a float's repr nor a header name
     holds a comma, quote or line break, so no field needs quoting, and the
@@ -485,7 +487,11 @@ def _write_csv(path: str, rows: np.ndarray, head=()) -> None:
     """
     with open(path, "w", newline="") as fh:
         fh.writelines(",".join(row) + "\r\n" for row in head)
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
+        key = None
+        for row in rows:
+            if (raw := row.tobytes()) != key:
+                key, line = raw, ",".join(map(repr, row.tolist())) + "\r\n"
+            fh.write(line)
 
 
 def write_samples(samples: np.ndarray, path: str) -> None:
@@ -498,26 +504,27 @@ def read_samples(path: str) -> np.ndarray:
     """Inverse of write_samples; bitwise exact round trip.
 
     A data row (row 1 follows the header) whose length differs from the
-    header's, or that holds anything but finite numbers, is rejected.
+    header's, or that holds anything but finite numbers, is rejected. The
+    values stream into one flat buffer: about 8 bytes a value plus one row.
     """
+    values, i = array.array("d"), 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
+            width = len(next(reader))
+            for i, row in enumerate(reader, 1):
+                if len(row) != width:
+                    raise ValueError(
+                        f"{path}: row {i}: {len(row)} values, the header names {width}")
+                try:
+                    values.extend(map(float, row))
+                except ValueError as e:
+                    raise ValueError(f"{path}: row {i}: {e}") from None
+        except StopIteration:
+            raise ValueError(f"{path}: empty samples file") from None
         except csv.Error as e:  # e.g. a field over the csv module's size limit
             raise ValueError(f"{path}: line {reader.line_num}: {e}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty samples file")
-    width = len(rows[0])
-    values = []
-    for i, row in enumerate(rows[1:], 1):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i}: {len(row)} values, the header names {width}")
-        try:
-            values.append([float(v) for v in row])
-        except ValueError as e:
-            raise ValueError(f"{path}: row {i}: {e}") from None
-    samples = np.asarray(values).reshape(len(values), width)
+    samples = np.frombuffer(values).reshape(i, width)
     bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: row {bad[0] + 1}: non-finite value")

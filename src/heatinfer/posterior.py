@@ -132,11 +132,13 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
         raise InsufficientSamplesError(f"need at least {10 * k} samples for k={k}, got {n}")
     rng = rng if rng is not None else np.random.default_rng(0)
 
+    # seeds and pooled covariance first: their temporaries die before feats
+    means = _kmeanspp_seeds(samples, k, rng)
+    base_cov = np.cov(samples.T).reshape(dim, dim) + COV_FLOOR * np.eye(dim)
     feats, origin = _features(samples)
+    means -= origin
     tri = dim * (dim + 1) // 2
     upper = iu, ju = np.triu_indices(dim)
-    means = _kmeanspp_seeds(samples, k, rng) - origin
-    base_cov = np.cov(samples.T).reshape(dim, dim) + COV_FLOOR * np.eye(dim)
     covs = np.repeat(base_cov[None, :, :], k, axis=0)
     weights = np.full(k, 1.0 / k)
     reseeded = np.zeros(k, dtype=bool)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,6 +526,7 @@ def test_cli_synth_replaces_its_output(tmp_path, capsys):
 
 
 HEADER = "h1_x0,h1_y0,h1_q,h1_c1,h1_c2\n"
+GOOD_ROWS = "0.5,0.8,1,0.5,0.25\n" * 1000
 BAD_SAMPLES = {
     "nan": ("0.5,0.8,1,0.5,0.25\n0.5,nan,1,0.5,0.25\n", "row 2: non-finite value"),
     "infinite": ("0.5,0.8,-inf,0.5,0.25\n", "row 1: non-finite value"),
@@ -535,6 +537,14 @@ BAD_SAMPLES = {
     # the csv module refuses a field over its size limit
     "huge_field": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,1,0.5," + "1" * 131073 + "\n",
                    "line 3: field larger than field limit (131072)"),
+    # the rows stream through the reader: an error after 1,000 good rows,
+    # with more after it, still names its own row or line
+    "late_huge_field": (GOOD_ROWS + "0.5,0.8,1,0.5," + "1" * 131073 + "\n" + GOOD_ROWS,
+                        "line 1002: field larger than field limit (131072)"),
+    "late_short_row": (GOOD_ROWS + "0.5,0.8,1\n" + GOOD_ROWS,
+                       "row 1001: 3 values, the header names 5"),
+    "late_not_a_number": (GOOD_ROWS + "0.5,0.8,1,0.5,y\n" + GOOD_ROWS,
+                          "row 1001: could not convert string to float: 'y'"),
 }
 
 
@@ -561,16 +571,47 @@ def test_read_samples_header_only(tmp_path):
 def test_csv_bytes_are_the_csv_modules(tmp_path):
     # _write_csv joins reprs itself; the bytes are those csv.writer wrote,
     # for the header and for floats whose reprs take every form: signed
-    # zero, subnormal, exponent, long mantissa and the largest magnitude
+    # zero, subnormal, exponent, long mantissa and the largest magnitude.
+    # It formats a row once and reuses the line while the next row has the
+    # same bytes, so the cases also hold runs of repeated rows, rows that
+    # differ only in the sign of a zero (equal as numbers, not as bytes), a
+    # row equal to an earlier but not the previous one, and a single row
+    a, b = [0.5, 0.25, 1.0, 1e-300, -3.0], [0.5, 0.25, 1.1, 1e-300, -3.0]
+    cases = {
+        "reprs": [[-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2],
+                  [-1.7976931348623157e308, 0.5, -2.0, 123456.789, 1e-300]],
+        "repeated_runs": [a] * 4 + [b] * 3 + [a],
+        "signed_zero": [[0.0, 1.0, -0.0, 2.0, 0.0], [-0.0, 1.0, -0.0, 2.0, 0.0],
+                        [-0.0, 1.0, 0.0, 2.0, 0.0], [-0.0, 1.0, 0.0, 2.0, 0.0]],
+        "non_adjacent": [a, b, a, b, b, a],
+        "one_row": [b],
+    }
     head = [harness._component_header(1)]
-    rows = np.array([[-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2],
-                     [-1.7976931348623157e308, 0.5, -2.0, 123456.789, 1e-300]])
-    harness._write_csv(str(tmp_path / "fast.csv"), rows, head)
-    with open(tmp_path / "module.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerows(head)
-        w.writerows(map(repr, row.tolist()) for row in rows)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "module.csv").read_bytes()
-    harness._write_csv(str(tmp_path / "bare.csv"), rows)
-    assert (tmp_path / "bare.csv").read_bytes() == \
-        (tmp_path / "module.csv").read_bytes().split(b"\r\n", 1)[1]
+    for case, rows in cases.items():
+        rows = np.array(rows)
+        harness._write_csv(str(tmp_path / "fast.csv"), rows, head)
+        with open(tmp_path / "module.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerows(head)
+            w.writerows(map(repr, row.tolist()) for row in rows)
+        module = (tmp_path / "module.csv").read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == module, case
+        back = read_samples(str(tmp_path / "fast.csv"))
+        assert back.tobytes() == rows.tobytes(), case
+        harness._write_csv(str(tmp_path / "bare.csv"), rows)
+        assert (tmp_path / "bare.csv").read_bytes() == module.split(b"\r\n", 1)[1], case
+
+
+def test_read_samples_working_set_stays_near_the_array(tmp_path):
+    # the values stream into one flat buffer: no list of str or float rows
+    samples = np.random.default_rng(13).normal(size=(2500, 10))
+    path = tmp_path / "samples.csv"
+    write_samples(samples, str(path))
+    tracemalloc.start()
+    try:
+        back = read_samples(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back, samples)
+    assert peak <= 3 * back.nbytes

@@ -227,4 +227,4 @@ def test_fit_memory_stays_near_the_feature_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * feature_bytes
+    assert peak <= 1.25 * feature_bytes  # 1.18 measured
