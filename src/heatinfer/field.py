@@ -4,30 +4,30 @@ The temperature at r due to a heater region of uniform strength q is
 
     T(r) = -(q / 2*pi) * integral over the region of log|r - eta| dA(eta).
 
-The boundary is z(w) = center + sum_k c_k w^k on the unit circle |w| = 1.
-Its reach is R = sum_k |c_k|: no boundary point lies further than R from
+The boundary is z(w) = center + f(w), f(w) = c1 w + c2 w^2, on the unit
+circle |w| = 1, with c1 > 0: the paper's two-term Fourier shape, and the
+forward model's only one. temperatures, observe and field_grid pad a
+one-coefficient shape (a disk) to (c1, 0), which gives the same bytes at
+every point outside its reach, and raise ValueError for more than two
+coefficients. HeaterShape, curve_moments and the multipole expansion
+stay general.
+
+The reach is R = c1 + |c2|: no boundary point lies further than R from
 the center. For a point p outside the reach, p' = p - center has
-|p'| > R, so p' - z(w) has no zero on the closed unit disk. Pulling the
+|p'| > R, so p' - f(w) has no zero on the closed unit disk. Pulling the
 area integral back to the disk, where the integral of w^n conj(w)^m is
-pi delta_nm / (n + 1), then gives the exact closed form
+pi delta_nm / (n + 1), then gives the exact monopole plus dipole about
+the center,
 
-    T(p) = -(q / 2) * sum_{d=0}^{J-1} w_d Re g_d,
-    w_d = sum_j j c_j c_{j+d},
-    g_0 = log|p'|,
-    g_n = (sum_{k=1}^{n-1} (n-k) c_k g_{n-k} - n c_n) / (n p').
+    T(p) = -(q / 2) [(c1^2 + 2 c2^2) log|p'| - c1^2 c2 Re(1/p')],
 
-For J = 2 this is the exact monopole plus dipole about the center,
--(q/2) [(c1^2 + 2 c2^2) log|p'| - c1^2 c2 Re(1/p')]: one log and one
-division per point, and the only J a config can state. Any other J runs
-the recursion in complex arithmetic from 1/p' = conj(p') / |p'|^2: one
-log, one complex division and O(J^2) complex products per point. A
-polynomial map counts overlap multiplicity the way the boundary integral
-counts winding number, so self-overlapping shapes (c1 < 2|c2|) agree too.
+one log and one division per point. A polynomial map counts overlap
+multiplicity the way the boundary integral counts winding number, so
+self-overlapping shapes (c1 < 2|c2|) agree too. Every (heater, point)
+pair whose point lies outside the heater's reach takes this closed form,
+whatever other points are evaluated with it.
 
-Every (heater, point) pair whose point lies outside the heater's reach
-takes the closed form, whatever other points are evaluated with it.
-
-Inside the reach, J = 2 has a root form, exact at every point off the
+Inside the reach there is a root form, exact at every point off the
 boundary. Write p' - f(w) = -c2 (w - a)(w - b), with a and b the roots of
 c2 w^2 + c1 w - p' = 0 (|b| <= |a|), and w0 = c1^2 + 2 c2^2. Then
 
@@ -40,11 +40,11 @@ for |r| < 1. The two pieces agree at |r| = 1. Since r (c1 + c2 r) = p',
 the inside piece is also pi [|p'|^2/2 - (c1^2 + c2^2)/2 - 2 c1 c2 Re r].
 A root inside the disk means the heater covers p, and a self-overlap
 (c1 < 2|c2|) has both roots inside, counting twice as the boundary
-integral does. With both roots outside, the sum is the closed form's J = 2
-line above, so _root_rows computes only the covered pairs.
+integral does. With both roots outside, the sum is the closed form
+above, so _root_rows computes only the covered pairs.
 
-Any other J, and every grid cell in a reach, goes through the quadrature:
-the area integral reduces to a boundary integral through the divergence
+Only a grid cell in a heater's reach goes through the quadrature: the
+area integral reduces to a boundary integral through the divergence
 identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4,
 evaluated by the trapezoidal rule on the Fourier parameterization of the
 boundary. For a closed smooth boundary and an evaluation point off the
@@ -56,16 +56,16 @@ An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
 below the wall, making the field even in y and its normal derivative
 zero on the wall. Image rows choose their form by the same per-pair rule.
-A heater must clear the wall; for J = 2 its lowest boundary point is
-found exactly (_lowest_j2), for any other J from boundary nodes.
+A heater must clear the wall; its lowest boundary point is found exactly
+(_lowest_j2).
 
 Memory: the quadrature walks the points in blocks whose (rows, points,
 nodes) work arrays hold at most _BLOCK_ELEMS elements each, so its four
 work arrays take at most 4 * _BLOCK_ELEMS * 8 bytes (2 MB) whatever the
 number of points, unless a single point times the rows times the nodes
-already exceeds the budget. The closed form of a call with an in-reach
-pair walks (rows, points) blocks of at most _BLOCK_ELEMS / 8 elements
-(64 kB), one block for every sweep call. No block changes a value.
+already exceeds the budget. The closed form of a grid walks (rows,
+points) blocks of at most _BLOCK_ELEMS / 8 elements (64 kB). No block
+changes a value.
 """
 
 import enum
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shapes
-from .shapes import HeaterShape, curve_moments, node_rows
+from .shapes import HeaterShape, curve_moments
 
 
 class WallGeometryError(ValueError):
@@ -121,7 +121,6 @@ class FieldGrid:
 
 
 _NODE_SHIFT = 1e-9  # outward offset applied when a point hits a quadrature node
-_WALL_CHECK_N = 256  # boundary nodes tested against the wall
 _BLOCK_ELEMS = 1 << 16  # elements per kernel work array: the four take 2 MB
 
 
@@ -151,13 +150,10 @@ def _offsets(x, y, pts, buf):
     return rhox, rhoy, r2
 
 
-def _integrate(rhox, rhoy, r2, dx, dy, q, n, on_node):
+def _integrate(rhox, rhoy, r2, dx, dy, q, n):
     """Trapezoidal boundary integral (m, p); overwrites its offset arrays.
-
-    on_node says whether some point may sit exactly on a node (r2 == 0);
-    only the entries that do are changed.
-    """
-    if on_node:
+    Only the entries of a point exactly on a node (r2 == 0) are shifted."""
+    if r2.min() == 0.0:
         # shift the offending nodes outward along the boundary normal
         nrm = np.maximum(np.hypot(dx, dy), 1e-300)
         hit = np.nonzero(r2 == 0.0)
@@ -185,43 +181,29 @@ def _heater_rows(C, centers, q, pts: np.ndarray, quad_n: int, cells, out) -> np.
     at every point, marked or not, so a marked pair's value does not
     depend on which other pairs are marked.
 
-    A call that fits in one block of at most _BLOCK_ELEMS elements per
-    work array computes its offsets once: they decide the doubling and
-    integrate the rows that keep quad_n nodes. A larger call measures
-    offsets only for the points that may be near a row: a row's nodes lie
-    within its reach sum_k |c_k| of its center, so only the points within
-    the reach plus two node spacings (plus a margin of 1e-12 of the
-    lengths involved, far above their rounding) can be. Each doubled row
-    (and, in the larger call, every row) then walks its marked points on
-    its own, block by block in one buffer. No path changes a value.
+    Offsets are measured only for the points that may be near a row: a
+    row's nodes lie within its reach sum_k |c_k| of its center, so only
+    the points within the reach plus two node spacings (plus a margin of
+    1e-12 of the lengths involved, far above their rounding) can be. Each
+    row then walks its marked points on its own, block by block in one
+    buffer. No block changes a value.
     """
     m, p = len(q), len(pts)
     x, y, dx, dy = boundary_nodes((C, centers), quad_n)
     # node spacing bounded by max parameterization speed times step
     spacing = np.sqrt(np.max(dx * dx + dy * dy, axis=1)) * (2.0 * np.pi / quad_n)
-    limit = (2.0 * spacing) ** 2
+    radius = np.abs(C).sum(axis=1) + 2.0 * spacing
+    radius += 1e-12 * (radius + np.abs(centers).sum(axis=1) + max(pts.max(), -pts.min()))
+    closest = np.full(m, np.inf)
     blocks, buf = _point_blocks(p, m, quad_n)
-    if len(blocks) == 1:
-        work = _offsets(x, y, pts, buf)
-        closest = work[2].min(axis=(1, 2))
-        near = closest < limit
-        if not near.all():
-            np.copyto(out, _integrate(*work, dx, dy, q, quad_n, closest.min() == 0.0),
-                      where=cells & ~near[:, None])
-        coarse = ()
-    else:
-        radius = np.abs(C).sum(axis=1) + 2.0 * spacing
-        radius += 1e-12 * (radius + np.abs(centers).sum(axis=1) + max(pts.max(), -pts.min()))
-        closest = np.full(m, np.inf)
-        for b in blocks:
-            d = pts[b] - centers[:, None, :]
-            # a NaN distance keeps its point, as the offsets would have seen it
-            sub = pts[b][~((d * d).sum(axis=2) > (radius * radius)[:, None]).all(axis=0)]
-            if len(sub):
-                np.minimum(closest, _offsets(x, y, sub, buf)[2].min(axis=(1, 2)), out=closest)
-        near = closest < limit
-        coarse = np.flatnonzero(~near)
-    groups = [(quad_n, coarse, (x, y, dx, dy))]
+    for b in blocks:
+        d = pts[b] - centers[:, None, :]
+        # a NaN distance keeps its point, as the offsets would have seen it
+        sub = pts[b][~((d * d).sum(axis=2) > (radius * radius)[:, None]).all(axis=0)]
+        if len(sub):
+            np.minimum(closest, _offsets(x, y, sub, buf)[2].min(axis=(1, 2)), out=closest)
+    near = closest < (2.0 * spacing) ** 2
+    groups = [(quad_n, np.flatnonzero(~near), (x, y, dx, dy))]
     if near.any():
         groups.append((2 * quad_n, np.flatnonzero(near), boundary_nodes((C, centers), 2 * quad_n)))
     for n, rows, (x, y, dx, dy) in groups:
@@ -230,45 +212,23 @@ def _heater_rows(C, centers, q, pts: np.ndarray, quad_n: int, cells, out) -> np.
             blocks, buf = _point_blocks(len(cols), 1, n, buf)
             for b in blocks:
                 work = _offsets(x[i:i + 1], y[i:i + 1], pts[cols[b]], buf)
-                out[i, cols[b]] = _integrate(*work, dx[i:i + 1], dy[i:i + 1], q[i:i + 1], n,
-                                              work[2].min() == 0.0)[0]
+                out[i, cols[b]] = _integrate(*work, dx[i:i + 1], dy[i:i + 1], q[i:i + 1], n)[0]
     return out
 
 
-def _exterior_rows(C, q, dx, dy, r2) -> np.ndarray:
-    """Closed-form temperatures (m, p) of one heater per row, at points
-    whose offsets p' = dx + i dy (m, p) from the row's center, of squared
-    length r2, all lie outside the row's reach: the module docstring's sum."""
-    J = C.shape[1]
-    if J == 2:
-        return _exterior_j2(C[:, 0], C[:, 1], q, dx, dy, r2)
-    c = C.T  # c[k - 1] is c_k
-    kc = c * np.arange(1.0, J + 1.0)[:, None]
-    w = kc[0] * c  # w[d] = sum_j j c_j c_{j+d}, accumulated over j
-    for j in range(1, J):
-        w[:J - j] += kc[j] * c[j:]
-    s = (dx - 1j * dy) / r2  # 1/p'
-    g = [0.5 * np.log(r2)]
-    acc = w[0][:, None] * g[0]
-    for n in range(1, J):
-        gn = -n * c[n - 1][:, None]
-        for k in range(1, n):
-            gn = gn + (n - k) * c[k - 1][:, None] * g[n - k]
-        g.append(gn * s / n)
-        acc += w[n][:, None] * g[n].real
-    return -0.5 * q[:, None] * acc
-
-
 def _exterior_j2(c1, c2, q, dx, dy, r2) -> np.ndarray:
-    """_exterior_rows for J = 2, the sampler's every row: w_0 = c1^2 + 2 c2^2
-    and w_1 Re g_1 = -c1^2 c2 Re(1/p'), one log and one division per pair."""
+    """Closed-form temperatures (m, p) of one heater per row, with
+    coefficients c1, c2 and strength q (m,), at points whose offsets
+    p' = dx + i dy (m, p) from the row's center, of squared length r2, all
+    lie outside the row's reach: the module docstring's monopole plus
+    dipole, one log and one division per pair."""
     acc = (c1 * c1 + c2 * 2.0 * c2)[:, None] * (0.5 * np.log(r2))
     acc -= (c1 * c2 * c1)[:, None] * (dx / r2)  # adding -(a b) is subtracting a b, bit for bit
     return -0.5 * q[:, None] * acc
 
 
 def _root_rows(c1, c2, q, dx, dy, r2, closed) -> np.ndarray:
-    """J = 2 temperatures at pairs given as equal-shape arrays: coefficients
+    """Temperatures at pairs given as equal-shape arrays: coefficients
     c1, c2 and strength q of the pair's heater, offset p' = dx + i dy of
     the point from its center, r2 = |p'|^2, and the closed form's value
     closed, which holds wherever both roots lie outside the unit disk.
@@ -309,24 +269,17 @@ def _root_rows(c1, c2, q, dx, dy, r2, closed) -> np.ndarray:
 def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2).
 
-    Row i is the heater with coefficients C[i] (J,), center centers[i]
-    and strength q[i]. When every point lies strictly outside every row's
-    reach sum_k |c_k|, as in almost every sampler sweep, the closed form
-    runs on all pairs at once with no mask or copy. Otherwise, for J = 2,
+    Row i is the heater with coefficients C[i] = (c1, c2), center
+    centers[i] and strength q[i]. When every point lies strictly outside
+    every row's reach c1 + |c2|, as in almost every sampler sweep, the
+    closed form runs on all pairs at once with no mask or copy. Otherwise
     the pairs outside the reach still take it and those inside take the
-    root form (_root_rows); for any other J the call goes to _pair_rows,
-    whose in-reach pairs run the quadrature. Either way a pair's value
-    depends on no other row or point, except a J != 2 in-reach pair's
-    through its row's node doubling.
+    root form (_root_rows). Either way a pair's value depends on no other
+    row or point, and no pair runs the quadrature: quad_n goes unused.
     """
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
     r2 = dx * dx + dy * dy
-    if C.shape[1] != 2:
-        reach = np.abs(C).sum(axis=1)
-        if np.count_nonzero(r2 > (reach * reach)[:, None]) == r2.size:
-            return _exterior_rows(C, q, dx, dy, r2)
-        return _pair_rows(C, centers, q, pts, quad_n)
     c1, c2 = C[:, 0], C[:, 1]
     reach = c1 + np.abs(c2)  # sum_k |c_k| bit for bit, since c_1 > 0
     outside = r2 > (reach * reach)[:, None]
@@ -342,7 +295,7 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
 
 
 def _lowest_j2(C, centers) -> np.ndarray:
-    """Exact lowest boundary point (m,) of J = 2 heaters.
+    """Exact lowest boundary point (m,) of the heaters C (m, 2) at centers (m, 2).
 
     y(theta) = y0 + sin(theta) (c1 + 2 c2 cos(theta)), so the lowest point
     lies g(u) = sqrt(1 - u^2) |c1 + 2 c2 u| below y0 for the u = cos(theta)
@@ -358,20 +311,17 @@ def _lowest_j2(C, centers) -> np.ndarray:
 
 
 def _wall_clearance(C, centers) -> np.ndarray:
-    """Lowest boundary point (m,) of the heaters C (m, J) at centers (m, 2);
+    """Lowest boundary point (m,) of the heaters C (m, 2) at centers (m, 2);
     the wall needs it above y = 0.
 
-    A heater whose center lies above its reach sum_k |c_k| clears the wall
-    without a check and reports +inf. For J = 2 the check is exact
-    (_lowest_j2); any other J takes the lowest of _WALL_CHECK_N boundary
-    nodes, and the relative margin of 1e-12 lies far above the rounding of
-    their y, so every heater that check would reject still gets it.
+    A heater whose center lies above its reach c1 + |c2|, with a relative
+    margin of 1e-12, clears the wall without a check and reports +inf. The
+    others take the exact check (_lowest_j2).
     """
     low = np.full(len(C), np.inf)
     near = ~(centers[:, 1] > np.abs(C).sum(axis=1) * (1.0 + 1e-12))
     if near.any():
-        low[near] = (_lowest_j2(C[near], centers[near]) if C.shape[1] == 2 else
-                     node_rows(C[near], centers[near], _WALL_CHECK_N)[1].min(axis=1))
+        low[near] = _lowest_j2(C[near], centers[near])
     return low
 
 
@@ -387,12 +337,11 @@ def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
         pts = pts[None]
     n, p = m, len(pts)  # the configurations the kernel scores, and the points
     if wall is Wall.ADIABATIC_Y0:
-        J = C.shape[1]
         clear = np.all((_wall_clearance(C, centers) > 0.0).reshape(m, h), axis=1)
-        C, centers = C.reshape(m, h, J)[clear], centers.reshape(m, h, 2)[clear]
+        C, centers = C.reshape(m, h, 2)[clear], centers.reshape(m, h, 2)[clear]
         q = q.reshape(m, h)[clear]
         n, h = len(q), 2 * h
-        C = np.concatenate([C, C], axis=1).reshape(n * h, J)
+        C = np.concatenate([C, C], axis=1).reshape(n * h, 2)
         centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1).reshape(n * h, 2)
         q = np.concatenate([q, q], axis=1).reshape(n * h)
     each = kernel(C, centers, q, pts, quad_n)
@@ -406,27 +355,24 @@ def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
     return out
 
 
-def _rows(C, centers, q, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
-    """_stack for configurations given as C (m, h, J), centers (m, h, 2) and q (m, h)."""
-    m, h = q.shape
-    return _stack(C.reshape(m * h, C.shape[2]), centers.reshape(m * h, 2), q.reshape(m * h), m,
-                  h, points, wall, quad_n, kernel)
-
-
 def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
-    """The (p,) row of _rows for one configuration of (HeaterShape, q) pairs,
-    zero-padding shorter coefficient lists; a rejected row raises."""
+    """The (p,) row of _stack for one configuration of (HeaterShape, q)
+    pairs; a rejected row raises. A one-coefficient shape is padded to
+    (c1, 0.0); more than two coefficients raise ValueError."""
     heaters = list(heaters)
-    C = np.zeros((1, len(heaters), max((len(s.c) for s, _ in heaters), default=1)))
+    C = np.zeros((len(heaters), 2))
     for k, (shape, _) in enumerate(heaters):
-        C[0, k, :len(shape.c)] = shape.c
-    centers = np.array([s.center for s, _ in heaters], dtype=float).reshape(1, -1, 2)
-    q = np.array([[v for _, v in heaters]], dtype=float)
-    out = _rows(C, centers, q, points, wall, quad_n, kernel)[0]
+        if len(shape.c) > 2:
+            raise ValueError("a heater shape has at most two coefficients (c1, c2), "
+                             f"got {len(shape.c)}")
+        C[k, :len(shape.c)] = shape.c
+    centers = np.array([s.center for s, _ in heaters], dtype=float).reshape(-1, 2)
+    q = np.array([v for _, v in heaters], dtype=float)
+    out = _stack(C, centers, q, 1, len(heaters), points, wall, quad_n, kernel)[0]
     if np.all(np.isfinite(out)):
         return out
     if wall is Wall.ADIABATIC_Y0:
-        low = _wall_clearance(C[0], centers[0])
+        low = _wall_clearance(C, centers)
         k = np.argmax(low <= 0.0)  # the first heater that crosses, if any
         if low[k] <= 0.0:
             raise WallGeometryError(f"heater at {heaters[k][0].center} crosses the wall "
@@ -439,45 +385,29 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     """Superposed heater temperatures at points (m, 2), relative to T_ref = 0.
 
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
-    regions superpose additively. This is temperature_rows' row for the
-    one configuration, bit for bit. With an adiabatic wall all heater
-    regions must lie strictly in y > 0: a heater crossing the wall raises
+    regions superpose additively. This is stack_rows' row for the one
+    configuration, bit for bit. A shape with more than two coefficients
+    raises ValueError. With an adiabatic wall all heater regions must lie
+    strictly in y > 0: a heater crossing the wall raises
     WallGeometryError, a non-finite temperature FieldEvaluationError.
     """
     return _configuration(heaters, points, wall, quad_n, _heater_field)
 
 
-def temperature_rows(C, centers, q, points, wall: Wall = Wall.UNBOUNDED,
-                     quad_n: int = 256) -> np.ndarray:
-    """Temperatures (m, p) of m heater configurations at points (p, 2).
-
-    Heater k of configuration i has Fourier coefficients C[i, k] (with
-    c_1 > 0), center centers[i, k] and strength q[i, k]; C is (m, h, J).
-    Every heater (and wall image) of every configuration is one row of a
-    single kernel call. A (row, point) pair whose point lies outside the
-    heater's reach sum_k |c_k| takes the exact closed form of the module
-    docstring; a J = 2 pair inside the reach takes the exact root form,
-    and only a pair of any other J inside the reach runs the quad_n-node
-    quadrature. So no J = 2 call draws a boundary node, in either wall
-    mode: the wall check is exact too. When every pair takes the closed
-    form, as in almost every sampler sweep, no pair is masked or copied,
-    and J = 2 rows skip the general coefficient recursion. The choice is
-    per pair, so a configuration's row does not depend on the others, and
-    a J = 2 heater contributes to a point the same value whatever other
-    points share the call. Rejected configurations come back as
-    non-finite rows: NaN when a heater crosses the wall, otherwise
-    wherever the field is not finite.
-    """
-    return _rows(C, centers, q, points, wall, quad_n, _heater_field)
-
-
 def stack_rows(C, centers, q, h: int, points, wall: Wall = Wall.UNBOUNDED,
                quad_n: int = 256) -> np.ndarray:
-    """temperature_rows of m configurations of h heaters each, given as
-    m * h heater rows: C (m * h, J), centers (m * h, 2) and q (m * h,),
-    configuration i's heaters at rows i * h to i * h + h - 1. The sampler's
-    stack of states is this layout already, so its one call per sweep
-    reshapes nothing."""
+    """Temperatures (m, p) of m configurations of h heaters each at points
+    (p, 2), given as m * h heater rows: C (m * h, 2) of (c1, c2) with
+    c1 > 0, centers (m * h, 2) and q (m * h,), configuration i's heaters at
+    rows i * h to i * h + h - 1, the layout of the sampler's stack.
+
+    Each (row, point) pair, wall images included, takes the exact closed
+    form outside the heater's reach c1 + |c2| and the exact root form
+    inside it, so no call draws a boundary node, and a pair's value
+    depends on no other row or point. Rejected configurations come back as
+    non-finite rows: NaN when a heater crosses the wall, otherwise wherever
+    the field is not finite.
+    """
     return _stack(C, centers, q, len(q) // h, h, points, wall, quad_n, _heater_field)
 
 
@@ -551,11 +481,10 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
 
     region is (xmin, xmax, ymin, ymax) and resolution is (nx, ny). In
     wall mode the region is clipped to y >= 0 before gridding. The cells go
-    through _rows, as the points of temperatures do, straight to the
+    through _stack, as the points of temperatures do, but to the
     _pair_rows kernel: a cell outside a heater's (or image's) reach takes
     the closed form for that heater, and only the few cells inside it run
-    the quadrature. Even a grid with no cell in any reach draws the coarse
-    nodes once, for no row.
+    the quadrature.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     nx, ny = int(resolution[0]), int(resolution[1])
@@ -574,24 +503,22 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
 
 
 def boundary_nodes(rows, n: int):
-    """The quadrature's node source: node_rows(C, centers, n) of rows = (C, centers)."""
-    # through shapes, so a wrapper on this module's node_rows sees only the wall check
+    """The quadrature's node source: shapes.node_rows(C, centers, n) of rows = (C, centers)."""
     return shapes.node_rows(*rows, n)
 
 
 def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2), chosen per
-    (row, point) pair.
+    (row, point) pair: the grids' kernel.
 
-    A pair whose point lies strictly outside the row's reach takes the
-    exact closed form, computed for every pair in blocks of
-    _BLOCK_ELEMS // (8 m) points: one block for a sweep call, and arrays
-    of 64 kB, which raise a desk grid's peak memory less than larger ones.
-    _heater_rows then overwrites the in-reach pairs, given as its mask,
-    for the rows that hold one. The coarse nodes are drawn once per call,
-    for no row when no pair is in reach. The traced benchmark counts that
-    draw on every grid, so this kernel stays apart from _heater_field,
-    whose all-exterior return would skip it.
+    Row i has coefficients C[i] = (c1, c2). A pair strictly outside the
+    row's reach takes the closed form, computed for every pair in blocks of
+    _BLOCK_ELEMS // (8 m) points (64 kB arrays, which raise a desk grid's
+    peak memory less than larger ones). _heater_rows then overwrites the
+    in-reach pairs, given as its mask, for the rows that hold one. The
+    coarse nodes are drawn once per call, for no row when no pair is in
+    reach: the traced benchmark counts that draw on every grid, so this
+    kernel stays apart from _heater_field.
     """
     m, p = len(q), len(pts)
     reach = np.abs(C).sum(axis=1)
@@ -605,7 +532,7 @@ def _pair_rows(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
         r2 = ox * ox + oy * oy
         np.logical_not(r2 > (reach * reach)[:, None], out=inside[:, b])
         with np.errstate(all="ignore"):  # the in-reach pairs are overwritten below
-            out[:, b] = _exterior_rows(C, q, ox, oy, r2)
+            out[:, b] = _exterior_j2(C[:, 0], C[:, 1], q, ox, oy, r2)
     rows = inside.any(axis=1)
     out[rows] = _heater_rows(C[rows], centers[rows], q[rows], pts, quad_n, inside[rows],
                              out[rows])

@@ -504,8 +504,10 @@ def read_samples(path: str) -> np.ndarray:
     """Inverse of write_samples; bitwise exact round trip.
 
     A data row (row 1 follows the header) whose length differs from the
-    header's, or that holds anything but finite numbers, is rejected. The
-    values stream into one flat buffer: about 8 bytes a value plus one row.
+    header's, or that holds anything but finite numbers, is rejected, and
+    so is one with an underscore, a space, a tab or a non-ASCII character,
+    which float reads past (0_5, ' 0.8 '). The values stream into one flat
+    buffer: about 8 bytes a value plus one row.
     """
     values, i = array.array("d"), 0
     with open(path, newline="") as fh:
@@ -516,6 +518,9 @@ def read_samples(path: str) -> np.ndarray:
                 if len(row) != width:
                     raise ValueError(
                         f"{path}: row {i}: {len(row)} values, the header names {width}")
+                line = "".join(row)
+                if "_" in line or " " in line or "\t" in line or not line.isascii():
+                    raise ValueError(f"{path}: row {i}: '_', a space, a tab or non-ASCII text")
                 try:
                     values.extend(map(float, row))
                 except ValueError as e:

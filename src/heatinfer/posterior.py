@@ -115,8 +115,11 @@ def fit_gmm(samples: np.ndarray, k: int, max_iters: int = 200, tol: float = 1e-8
     """Fit a K-component mixture to the sample rows by EM.
 
     Stops when the total log likelihood of all rows (loglik_path) improves
-    by less than tol or after max_iters iterations. A component that loses
-    all responsibility is reseeded once at the sample the mixture explains
+    by less than tol or after max_iters iterations. On refit draws and
+    most single-heater desk draws max_iters ends the fit, not tol; draws
+    of a stalled two-heater desk chain, few of them distinct, meet tol
+    within a few dozen iterations. A component that loses all
+    responsibility is reseeded once at the sample the mixture explains
     worst, then dropped (weights renormalized) if it empties again. The
     moment features of the centred samples are built once (_features), so
     an iteration is two matrix products over them: the log responsibilities

@@ -21,8 +21,10 @@ from heatinfer.shapes import HeaterShape
 
 DESK = {"phase2_steps": 50_000, "thin": 10}
 SEED = 1234
-# two-heater convergence at desk scale is strongly start-dependent (the
-# production schedule is the robust path); this seed is a verified witness
+# two-heater convergence at desk scale is strongly start-dependent: at the
+# desk schedule 2 of seeds 1-20 (10 and 18) pass the 0.15 centre rule, and
+# no committed number measures the production schedule; this seed is a
+# verified witness
 TWO_HEATER_SEED = 18
 
 

@@ -10,7 +10,7 @@ import pytest
 from heatinfer import field as fieldmod
 from heatinfer.field import (FieldEvaluationError, SensorArray, Wall,
                              WallGeometryError, field_grid, jacobian_multipole,
-                             observe, temp_multipole, temperature_rows, temperatures)
+                             observe, stack_rows, temp_multipole, temperatures)
 from heatinfer.harness import load_config
 from heatinfer.shapes import HeaterShape, curve_moments, node_rows
 
@@ -299,7 +299,7 @@ def test_runtime_under_a_millisecond():
 # --- point blocks: the kernel's block budget must not change a byte ---
 
 def _count_kernel_work(monkeypatch):
-    """Count node-source calls per node count, and offset-block computations."""
+    """Count boundary-node draws per node count, and offset-block computations."""
     counts = collections.Counter()
 
     def counted(name, key):
@@ -310,7 +310,6 @@ def _count_kernel_work(monkeypatch):
             return real(*a)
         monkeypatch.setattr(fieldmod, name, wrapper)
 
-    counted("node_rows", lambda a: a[-1])
     counted("boundary_nodes", lambda a: a[-1])
     counted("_offsets", lambda a: "offsets")
     return counts
@@ -349,14 +348,11 @@ def test_blocked_grid_next_to_a_heater_is_bit_identical(monkeypatch, wall):
     assert np.isfinite(grid).all()
 
 
-def _ladder(y0s, q=(1.0, 2.0), J=2):
+def _ladder(y0s, q=(1.0, 2.0)):
     """Two-heater configurations (C, centers, q): a heart at (0.5, y0) and a
-    disk at (-0.6, 0.6) for each y0, their coefficients padded with zeros
-    to J. The same shapes at J = 5 take the quadrature and the node wall
-    check that J = 2 no longer runs."""
+    disk at (-0.6, 0.6) for each y0."""
     m = len(y0s)
-    C = np.zeros((m, 2, J))
-    C[:, :, :2] = [[0.28, 0.14], [0.2, 0.0]]
+    C = np.tile([[0.28, 0.14], [0.2, 0.0]], (m, 1, 1))
     centers = np.array([[[0.5, y0], [-0.6, 0.6]] for y0 in y0s])
     return C, centers, np.tile(q, (m, 1))
 
@@ -370,18 +366,28 @@ SENSOR_LINE = np.column_stack([np.linspace(-1, 1, 12), np.zeros(12)])
 INSIDE = np.vstack([SENSOR_LINE, [[0.57, 0.25], [0.57, 0.98], [-0.6, 0.6]]])
 
 
+def _stack_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=256):
+    """stack_rows of configurations given as C (m, h, 2), centers (m, h, 2)
+    and q (m, h)."""
+    m, h = q.shape
+    return stack_rows(C.reshape(m * h, 2), centers.reshape(m * h, 2), q.reshape(m * h), h, pts,
+                      wall, quad_n)
+
+
 def _pair_kernel_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=64):
-    """temperature_rows through the grids' kernel, whose in-reach pairs run
-    the quadrature whatever J."""
-    return fieldmod._rows(C, centers, q, pts, wall, quad_n, fieldmod._pair_rows)
+    """_stack_rows through the grids' kernel, whose in-reach pairs run the
+    quadrature."""
+    m, h = q.shape
+    return fieldmod._stack(C.reshape(m * h, 2), centers.reshape(m * h, 2), q.reshape(m * h), m,
+                           h, pts, wall, quad_n, fieldmod._pair_rows)
 
 
 def _assert_exact_rows(monkeypatch, C, centers, q, pts, wall=Wall.UNBOUNDED):
-    """The J = 2 stack's temperature_rows draw no boundary node and run no
-    offsets, and each finite row is the sum of its heaters' _exact_pairs,
-    originals before images; returns the rows."""
+    """The stack's rows draw no boundary node and run no offsets, and each
+    finite row is the sum of its heaters' _exact_pairs, originals before
+    images; returns the rows."""
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, pts, wall)
+    rows = _stack_rows(C, centers, q, pts, wall)
     assert not counts
     monkeypatch.undo()
     if wall is Wall.ADIABATIC_Y0:
@@ -400,31 +406,28 @@ def _assert_exact_rows(monkeypatch, C, centers, q, pts, wall=Wall.UNBOUNDED):
 def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
     # in the first two rows the heart reaches down to 0.066 above the sensor
     # line, inside two node spacings (0.11 at 64 nodes): doubled; the other
-    # rows stay far. The J = 5 heaters run the quadrature on their in-reach
-    # pairs through temperature_rows, the J = 2 ones through _pair_rows
-    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
-        C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9], J=J)
-        rows, counts = _assert_blocking_changes_no_byte(
-            monkeypatch, lambda: evaluate(C, centers, q, INSIDE, quad_n=64))
-        assert counts[64] == counts[128] == 1
-        # a sweep-sized call fits in one block: one coarse offset block, then
-        # one block for each of the two doubled rows
-        assert counts["offsets"] == 3
-        for i in range(len(q)):
-            heaters = [(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])]
-            alone = (temperatures(heaters, INSIDE, quad_n=64) if J == 5 else
-                     fieldmod._configuration(heaters, INSIDE, Wall.UNBOUNDED, 64,
-                                             fieldmod._pair_rows))
-            assert rows[i].tobytes() == alone.tobytes()
-        # every heater has a point in its reach: its in-reach pairs are the
-        # quadrature's bit for bit, its others the closed form's, and the rows
-        # their sums
-        Cr, cr, qr = C.reshape(-1, J), centers.reshape(-1, 2), q.reshape(-1)
-        assert _in_reach(Cr, cr, qr, INSIDE)[0].any(axis=1).all()
-        each = _per_pair(Cr, cr, qr, INSIDE, 64).reshape(len(rows), 2, -1)
-        assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
-        monkeypatch.undo()
-    # the J = 2 stack itself takes the root form at its in-reach pairs
+    # rows stay far. The grids' kernel runs the quadrature on the in-reach
+    # pairs
+    C, centers, q = _ladder([0.43, 0.43, 0.8, 1.1, 0.9])
+    rows, counts = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: _pair_kernel_rows(C, centers, q, INSIDE, quad_n=64))
+    assert counts[64] == counts[128] == 1
+    # a sweep-sized call screens its points in one block, then each of its
+    # ten rows integrates its marked points in one block
+    assert counts["offsets"] == 11
+    for i in range(len(q)):
+        heaters = [(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])]
+        alone = fieldmod._configuration(heaters, INSIDE, Wall.UNBOUNDED, 64, fieldmod._pair_rows)
+        assert rows[i].tobytes() == alone.tobytes()
+    # every heater has a point in its reach: its in-reach pairs are the
+    # quadrature's bit for bit, its others the closed form's, and the rows
+    # their sums
+    Cr, cr, qr = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
+    assert _in_reach(Cr, cr, qr, INSIDE)[0].any(axis=1).all()
+    each = _per_pair(Cr, cr, qr, INSIDE, 64).reshape(len(rows), 2, -1)
+    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+    monkeypatch.undo()
+    # the stack itself takes the root form at its in-reach pairs
     _assert_exact_rows(monkeypatch, C, centers, q, INSIDE)
 
 
@@ -436,7 +439,7 @@ def _per_pair(C, centers, q, pts, quad_n):
 
 
 def _exact_pairs(C, centers, q, pts):
-    """The J = 2 rule (m, p): the root form at the pairs in a row's reach,
+    """The stack's rule (m, p): the root form at the pairs in a row's reach,
     each evaluated on its own, and the closed form at the others."""
     inside, out = _in_reach(C, centers, q, pts)
     for i, j in zip(*np.nonzero(inside)):
@@ -486,19 +489,18 @@ def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
     # a point on the heart's doubled-node boundary of the first row, with
     # INSIDE's points in the reach of every heater, so that each integrates
     # enough pairs for the tiny budgets to split them
-    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
-        C, centers, q = _ladder([0.8, 0.9], J=J)
-        x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
-        pts = np.vstack([INSIDE, [[x[0, 5], y[0, 5]]]])
-        rows, _ = _assert_blocking_changes_no_byte(
-            monkeypatch, lambda: evaluate(C, centers, q, pts, quad_n=64))
-        assert np.isfinite(rows).all()
-        # the node hit's pair too is the quadrature's bit for bit
-        Cr, cr, qr = C.reshape(-1, J), centers.reshape(-1, 2), q.reshape(-1)
-        assert _in_reach(Cr, cr, qr, pts)[0][0, -1]
-        each = _per_pair(Cr, cr, qr, pts, 64).reshape(len(rows), 2, -1)
-        assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
-        monkeypatch.undo()
+    C, centers, q = _ladder([0.8, 0.9])
+    x, y, _, _ = node_rows(C[0, :1], centers[0, :1], 128)
+    pts = np.vstack([INSIDE, [[x[0, 5], y[0, 5]]]])
+    rows, _ = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: _pair_kernel_rows(C, centers, q, pts, quad_n=64))
+    assert np.isfinite(rows).all()
+    # the node hit's pair too is the quadrature's bit for bit
+    Cr, cr, qr = C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1)
+    assert _in_reach(Cr, cr, qr, pts)[0][0, -1]
+    each = _per_pair(Cr, cr, qr, pts, 64).reshape(len(rows), 2, -1)
+    assert rows.tobytes() == (np.zeros(rows.shape) + each[:, 0] + each[:, 1]).tobytes()
+    monkeypatch.undo()
     # the root form needs no shift on the boundary: the point takes it as is
     assert np.isfinite(_assert_exact_rows(monkeypatch, C, centers, q, pts)).all()
 
@@ -506,16 +508,14 @@ def test_blocked_exact_node_hit_is_bit_identical(monkeypatch):
 def test_blocked_wall_rows_are_bit_identical(monkeypatch):
     # row 1 crosses the wall (NaN row); the others gain mirror-image rows,
     # which lie below every point and so take the closed form
-    for J, evaluate in ((5, temperature_rows), (2, _pair_kernel_rows)):
-        C, centers, q = _ladder([0.43, 0.3, 0.8], J=J)
-        rows, counts = _assert_blocking_changes_no_byte(
-            monkeypatch, lambda: evaluate(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
-        assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
-        # the heart of row 1 is the only heater whose reach (0.42) touches
-        # the wall: J = 5 gives it a node check, J = 2 an exact one; then one
-        # kernel call on the clear rows
-        assert counts.get(256, 0) == int(J == 5) and counts[64] == counts[128] == 1
-        monkeypatch.undo()
+    C, centers, q = _ladder([0.43, 0.3, 0.8])
+    rows, counts = _assert_blocking_changes_no_byte(
+        monkeypatch, lambda: _pair_kernel_rows(C, centers, q, INSIDE, Wall.ADIABATIC_Y0, 64))
+    assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
+    # the heart of row 1 is the only heater whose reach (0.42) touches the
+    # wall, and its check is exact; then one kernel call on the clear rows
+    assert counts[64] == counts[128] == 1
+    monkeypatch.undo()
     rows = _assert_exact_rows(monkeypatch, C, centers, q, INSIDE, Wall.ADIABATIC_Y0)
     assert np.isnan(rows[1]).all() and np.isfinite(rows[[0, 2]]).all()
 
@@ -532,15 +532,15 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
     # and the rows are the unbounded rows of the stack with its images
     C, centers, q = _ladder([0.43, 0.8, 1.1])
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
+    rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
     alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[0], centers[0], q[0])],
                          SENSOR_LINE, Wall.ADIABATIC_Y0)
     assert not counts
-    assert rows.tobytes() == temperature_rows(*_with_images(C, centers, q), SENSOR_LINE).tobytes()
+    assert rows.tobytes() == _stack_rows(*_with_images(C, centers, q), SENSOR_LINE).tobytes()
     assert alone.tobytes() == rows[0].tobytes()
     # the heart at y0 = 0.4 lies within its reach (0.42) of the wall yet
     # clears it (lowest point 0.036), the one at 0.3 crosses it: both get
-    # the exact check, and only they; no J = 2 check draws a node
+    # the exact check, and only they; no check draws a node
     monkeypatch.undo()
     C, centers, q = _ladder([0.4, 0.3, 0.8])
     checked = []
@@ -553,7 +553,7 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
         return low
     monkeypatch.setattr(fieldmod, "_lowest_j2", recorded)
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64)
+    rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64)
     assert not counts
     assert len(checked) == 2 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
     # the exact lowest points sit at or below the lowest of 65,536 nodes,
@@ -562,13 +562,13 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
     assert np.all(checked[1] <= dense) and np.all(dense - checked[1] < 1e-9)
     np.testing.assert_allclose(checked[1], [0.0363, -0.0637], atol=1e-4)
     assert np.isnan(rows[1]).all()
-    clear = temperature_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE,
-                             quad_n=64)
+    clear = _stack_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE,
+                        quad_n=64)
     assert rows[[0, 2]].tobytes() == clear.tobytes()
 
 
 def test_exact_wall_clearance_is_the_dense_node_limit():
-    # J = 2 shapes with c2 at and near zero, cusps and self-overlaps: the
+    # shapes with c2 at and near zero, cusps and self-overlaps: the
     # exact lowest point lies at or below the lowest of 65,536 nodes, by
     # less than that rule's own error (the node spacing squared)
     rng = np.random.default_rng(29)
@@ -585,7 +585,7 @@ def test_exact_wall_clearance_is_the_dense_node_limit():
 
 
 def test_heater_sum_matches_the_ordered_loop():
-    # _rows adds each configuration's heaters (and images) in order, as a
+    # _stack adds each configuration's heaters (and images) in order, as a
     # loop from zeros does, signed zeros included: -0.0 terms sum to +0.0
     rng = np.random.default_rng(30)
     for h in range(1, 7):
@@ -596,9 +596,9 @@ def test_heater_sum_matches_the_ordered_loop():
             loop = np.zeros((5, p))
             for k in range(h):
                 loop += each[:, k]
-            got = fieldmod._rows(np.ones((5, h, 2)), np.zeros((5, h, 2)), np.ones((5, h)),
-                                 np.zeros((p, 2)), Wall.UNBOUNDED, 256,
-                                 lambda *a: each.reshape(5 * h, p))
+            got = fieldmod._stack(np.ones((5 * h, 2)), np.zeros((5 * h, 2)), np.ones(5 * h), 5,
+                                  h, np.zeros((p, 2)), Wall.UNBOUNDED, 256,
+                                  lambda *a: each.reshape(5 * h, p))
             assert got.tobytes() == loop.tobytes()
             assert not np.signbit(got[0]).any()
 
@@ -610,7 +610,7 @@ def test_blocked_zero_rows(monkeypatch):
     centers = centers.reshape(0, 2, 2)
     counts = _count_kernel_work(monkeypatch)
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", 1)
-    rows = temperature_rows(C, centers, q, INSIDE, quad_n=64)
+    rows = _stack_rows(C, centers, q, INSIDE, quad_n=64)
     assert rows.shape == (0, len(INSIDE))
     assert not counts
 
@@ -650,15 +650,13 @@ def _full_pass_heater_rows(nodes, q, pts, quad_n):
         for i in reversed(range(len(blocks))):
             if i < len(blocks) - 1:
                 work = fieldmod._offsets(x, y, pts[blocks[i]], buf)
-            out[far, blocks[i]] = fieldmod._integrate(*work, dx, dy, qf, quad_n,
-                                                      np.any(closest[i, far] == 0.0))
+            out[far, blocks[i]] = fieldmod._integrate(*work, dx, dy, qf, quad_n)
     if near.any():
         x, y, dx, dy = (a[near] for a in nodes(2 * quad_n))
         blocks, buf = fieldmod._point_blocks(len(pts), len(x), 2 * quad_n)
         for b in blocks:
             rhox, rhoy, r2 = fieldmod._offsets(x, y, pts[b], buf)
-            out[near, b] = fieldmod._integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n,
-                                               r2.min() == 0.0)
+            out[near, b] = fieldmod._integrate(rhox, rhoy, r2, dx, dy, q[near], 2 * quad_n)
     return out
 
 
@@ -717,10 +715,9 @@ def test_grid_measures_only_the_points_that_may_be_near(monkeypatch, budget):
 def test_point_just_outside_the_reach_doubles_its_row(monkeypatch, budget):
     # a circle's boundary lies on its reach; the second point, 0.03 beyond
     # the node at t = 0, lies outside the reach but within two node spacings
-    # (0.059 at 64 nodes) of it. At the default budget one offsets pass sees
-    # it; with one point per block the screen must keep it, which a bound
-    # of the reach alone would not
-    C, centers, q = np.array([[0.3]]), np.array([[0.2, 0.5]]), np.array([1.5])
+    # (0.059 at 64 nodes) of it. At either budget the screen must keep it,
+    # which a bound of the reach alone would not
+    C, centers, q = np.array([[0.3, 0.0]]), np.array([[0.2, 0.5]]), np.array([1.5])
     pts = np.array([[0.2, 0.5], [0.53, 0.5]])
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", budget)
     asked = []
@@ -734,9 +731,8 @@ def test_point_just_outside_the_reach_doubles_its_row(monkeypatch, budget):
     assert asked == [64, 128]
     full = _full_pass_heater_rows(partial(node_rows, C, centers), q, pts, 64)
     assert got.tobytes() == full.tobytes()
-    # the centre, in reach, gets the doubled value through the public kernel
-    rows = temperature_rows(C[None], centers[None], q[None], pts, quad_n=64)
-    assert rows[0, 0] == full[0, 0]
+    # the centre, in reach, gets the doubled value through the grids' kernel
+    assert fieldmod._pair_rows(C, centers, q, pts, 64)[0, 0] == full[0, 0]
 
 
 # --- closed form outside the reach: exact, and the sweep's fast path ---
@@ -756,13 +752,9 @@ def _exterior_points(rng, C, center, wall):
     return pts[pts[:, 1] >= 0.0] if wall is Wall.ADIABATIC_Y0 else pts
 
 
-# for each J, the first shape is simple and the rest loop over themselves
-# (their tangents turn 2 to 5 times), except the heart (0.28, 0.14), whose
-# boundary has a cusp
-EXTERIOR_SHAPES = [(0.5, 0.25), (0.28, 0.14), (0.2, 0.3), (0.3, -0.4),
-                   (0.3, 0.1, 0.05), (0.2, -0.15, 0.12), (0.1, 0.2, -0.15),
-                   (0.3, 0.1, 0.05, 0.03, 0.02), (0.2, -0.1, 0.15, -0.05, 0.08),
-                   (0.1, 0.3, -0.2, 0.1, -0.05)]
+# the first two have a cusp (c1 = 2 c2, the configs' shapes) and the last
+# two loop over themselves (c1 < 2|c2|)
+EXTERIOR_SHAPES = [(0.5, 0.25), (0.28, 0.14), (0.2, 0.3), (0.3, -0.4)]
 
 
 @pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
@@ -778,40 +770,46 @@ def test_closed_form_matches_dense_quadrature(monkeypatch, wall):
         if wall is Wall.ADIABATIC_Y0:
             ref = ref + quadrature_rows(C, center[None] * [1.0, -1.0], q, pts, 4096)[0]
         counts = _count_kernel_work(monkeypatch)
-        got = temperature_rows(C[None], center[None, None], q[None], pts, wall)[0]
+        got = _stack_rows(C[None], center[None, None], q[None], pts, wall)[0]
         # no quadrature, and no wall check: the center lies above the reach
         assert not counts
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), c
         monkeypatch.undo()
 
 
-def test_j2_rows_agree_with_the_general_recursion():
-    # the J = 2 lines and the recursion, on the same shape padded with
-    # c3 = 0, sum the same terms in a different order
-    rng = np.random.default_rng(25)
-    for c in [c for c in EXTERIOR_SHAPES if len(c) == 2]:
-        C = np.array([c])
-        center = rng.uniform(-1.0, 1.0, 2)
-        q = np.array([[rng.uniform(0.2, 3.0)]])
-        pts = _exterior_points(rng, C, center, Wall.UNBOUNDED)
-        two = temperature_rows(C[None], center[None, None], q, pts)[0]
-        padded = temperature_rows(np.array([[c + (0.0,)]]), center[None, None], q, pts)[0]
-        assert np.abs(padded - two).max() <= 4 * np.finfo(float).eps * np.abs(two).max(), c
-
-
 def test_closed_form_of_a_circle_is_the_exact_monopole():
-    # the dense quadrature is itself off by up to 7e-10 near a circle
+    # a one-coefficient shape, padded to (c1, 0.0), gives the monopole
+    # written out below bit for bit: the bytes of the one-term closed form.
+    # The dense quadrature is itself off by up to 7e-10 near a circle
     rng = np.random.default_rng(22)
     for _ in range(20):
         C = np.array([[rng.uniform(0.05, 0.8)]])
         center, q = rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 3.0)
         pts = _exterior_points(rng, C, center, Wall.UNBOUNDED)
         exact = np.array([point_source_temp(q * np.pi * C[0, 0] ** 2, center, p) for p in pts])
-        got = temperature_rows(C[None], center[None, None], np.array([[q]]), pts)[0]
+        got = temperatures([(HeaterShape(C[0], center), q)], pts)
         assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+        dx, dy = pts[:, 0] - center[0], pts[:, 1] - center[1]
+        monopole = -0.5 * q * (C[0, 0] * C[0, 0] * (0.5 * np.log(dx * dx + dy * dy))) + 0.0
+        assert got.tobytes() == monopole.tobytes()
 
 
-# --- root form inside the reach (J = 2): exact at every point off the boundary ---
+def test_more_than_two_coefficients_fail_early():
+    # the forward model takes (c1, c2) only: each entry point raises one
+    # ValueError naming the count; the moments and the multipole expansion
+    # stay general
+    three = HeaterShape((0.3, 0.1, 0.05), (0.5, 0.8))
+    heaters = [(HEART, 1.0), (three, 1.0)]
+    sensors = SensorArray([[-1.0, 0.0], [1.0, 0.0]])
+    for call in (lambda: temperatures(heaters, sensors.points),
+                 lambda: observe(heaters, sensors),
+                 lambda: field_grid(heaters, (-1, 1, 0, 2), (4, 4))):
+        with pytest.raises(ValueError, match=r"at most two coefficients \(c1, c2\), got 3"):
+            call()
+    assert np.isfinite(temp_multipole((three, 1.0), (3.0, 3.0)))
+
+
+# --- root form inside the reach: exact at every point off the boundary ---
 
 # c2 at and next to zero, univalent shapes, the cusps c1 = 2|c2| (the
 # configs' shapes), and self-overlaps c1 < 2|c2| that cover points twice
@@ -833,7 +831,7 @@ def _boundary_gap(C, center, pts, n=4096):
 @pytest.mark.parametrize("c", ROOT_SHAPES)
 def test_root_form_matches_dense_quadrature(monkeypatch, c):
     # the center and random points of the reach more than 0.02 from the
-    # boundary: temperature_rows draws no node, and agrees with the 4,096-node
+    # boundary: stack_rows draws no node, and agrees with the 4,096-node
     # quadrature to 1e-15 of max|T|
     C, center, q = np.array(c), np.array([0.1, -0.2]), np.array([1.3])
     reach = np.abs(C).sum()
@@ -847,7 +845,7 @@ def test_root_form_matches_dense_quadrature(monkeypatch, c):
     assert (cover == 0).any() and (cover == 1).any()
     assert (cover == 2).any() == (c[0] < 2.0 * abs(c[1]))
     counts = _count_kernel_work(monkeypatch)
-    got = temperature_rows(C[None, None], center[None, None], q[None], pts)[0]
+    got = _stack_rows(C[None, None], center[None, None], q[None], pts)[0]
     assert not counts
     ref = quadrature_rows(C[None], center[None], q, pts, 4096)[0]
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), c
@@ -876,7 +874,7 @@ def test_root_form_is_smooth_across_the_boundary(c):
     steps = np.array([-2e-9, -1e-9, 1e-9, 2e-9])
     pts = np.stack([bx[fine, None] + steps * nx[fine, None],
                     by[fine, None] + steps * ny[fine, None]], axis=2).reshape(-1, 2)
-    T = temperature_rows(C[None, None], center[None, None], q, pts)[0].reshape(-1, 4)
+    T = _stack_rows(C[None, None], center[None, None], q, pts)[0].reshape(-1, 4)
     across = 0.5 * (T[:, 2] - T[:, 1])
     tol = 64 * np.finfo(float).eps * np.abs(T).max()
     assert np.abs(across - (T[:, 3] - T[:, 2])).max() <= tol
@@ -897,7 +895,7 @@ def test_root_form_at_wall_images():
     assert inside.all()
     for row in range(2):
         assert _boundary_gap(flat[0][row], flat[1][row], pts)[0].min() > 0.02
-    got = temperature_rows(C, centers, q, pts, Wall.ADIABATIC_Y0)[0]
+    got = _stack_rows(C, centers, q, pts, Wall.ADIABATIC_Y0)[0]
     ref = quadrature_rows(*flat, pts, 4096).sum(axis=0)
     assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
@@ -924,7 +922,7 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     # comparison allows: 16 ulp of the row's max|T|.
     C, centers, q, config = _prior_box(name)
     pts = config.sensors.points
-    got = temperature_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
+    got = _stack_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
     ref = quadrature_rows(C, centers, q, pts, 4096)
     before = quadrature_rows(C, centers, q, pts, 256)
     # the in-reach pairs are the root form's bit for bit, each pair on its
@@ -950,7 +948,7 @@ def test_prior_box_stacks_draw_no_boundary_node(monkeypatch, wall):
     real = fieldmod._lowest_j2
     monkeypatch.setattr(fieldmod, "_lowest_j2", lambda *a: checked.append(len(a[0])) or real(*a))
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, pts, wall)
+    rows = _stack_rows(C, centers, q, pts, wall)
     assert not counts
     if wall is Wall.ADIABATIC_Y0:
         # a third to two thirds of the stacks cross the wall; every heater
@@ -962,17 +960,13 @@ def test_prior_box_stacks_draw_no_boundary_node(monkeypatch, wall):
     assert np.isfinite(rows).all(axis=1).sum() + np.isnan(rows).all(axis=1).sum() == len(rows)
     inside = _in_reach(C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1), pts)[0]
     assert inside.any(axis=1).mean() > 0.2
-# the J = 5 shape loops over itself; its center lies above its reach (0.58)
-J5_HEATER = np.array([[0.3, 0.9, 1.5, 0.2, -0.1, 0.15, -0.05, 0.08]])
 
 
 def _grid_case(name, wall):
     """One heater per row (C, centers, q), wall images included, and the
     cell centres of the desk grid, clipped to y >= 0 in wall mode."""
-    config = load_config(os.path.join(CONFIG_DIR, "two_heaters.json" if name == "j5"
-                                      else f"{name}.json"))
-    rows = J5_HEATER if name == "j5" else config.truth
-    C, centers, q = rows[:, 3:], rows[:, :2], rows[:, 2]
+    config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    C, centers, q = config.truth[:, 3:], config.truth[:, :2], config.truth[:, 2]
     xmin, xmax, ymin, ymax = config.grid.region
     if wall is Wall.ADIABATIC_Y0:
         ymin = 0.0
@@ -992,11 +986,12 @@ def _in_reach(C, centers, q, pts):
     r2 = dx * dx + dy * dy
     reach = np.abs(C).sum(axis=1)
     with np.errstate(all="ignore"):
-        return ~(r2 > (reach * reach)[:, None]), fieldmod._exterior_rows(C, q, dx, dy, r2)
+        return ~(r2 > (reach * reach)[:, None]), fieldmod._exterior_j2(C[:, 0], C[:, 1], q, dx,
+                                                                        dy, r2)
 
 
 @pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
-@pytest.mark.parametrize("name", ["single_heater", "two_heaters", "j5"])
+@pytest.mark.parametrize("name", ["single_heater", "two_heaters"])
 def test_grid_pairs_are_no_less_accurate_than_the_quadrature(name, wall):
     # every cell of the desk grid, one heater (or image) per row: no pair
     # moves further from the 4,096-node reference than the quadrature every
@@ -1031,8 +1026,8 @@ def test_sweep_near_the_truth_runs_no_quadrature(monkeypatch, name):
     config = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
     C, centers, q = _near_truth(config, np.random.default_rng(24))
     counts = _count_kernel_work(monkeypatch)
-    rows = temperature_rows(C, centers, q, config.sensors.points, config.sensors.wall)
-    assert not counts  # no node_rows, boundary_nodes or _offsets call
+    rows = _stack_rows(C, centers, q, config.sensors.points, config.sensors.wall)
+    assert not counts  # no boundary_nodes or _offsets call
     assert np.isfinite(rows).all()
 
 
@@ -1068,10 +1063,10 @@ def test_sensor_outside_the_reach_equals_the_point_alone(wall):
     # all-exterior return, and the two agree bit for bit
     C, centers, q = _ladder(REACHING[wall], q=(1.5,))
     C, centers = C[:, :1], centers[:, :1]
-    rows = temperature_rows(C, centers, q, SENSOR_LINE, wall)
+    rows = _stack_rows(C, centers, q, SENSOR_LINE, wall)
     inside = _in_reach(C[:, 0], centers[:, 0], q[:, 0], SENSOR_LINE)[0]
     assert inside.any(axis=1).all() and not inside.all(axis=1).any()
     for i, j in zip(*np.nonzero(~inside)):
-        alone = temperature_rows(C[i:i + 1], centers[i:i + 1], q[i:i + 1], SENSOR_LINE[j:j + 1],
-                                 wall)
+        alone = _stack_rows(C[i:i + 1], centers[i:i + 1], q[i:i + 1], SENSOR_LINE[j:j + 1],
+                            wall)
         assert alone.tobytes() == rows[i, j].tobytes()

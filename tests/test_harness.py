@@ -534,6 +534,11 @@ BAD_SAMPLES = {
     "long_row": ("0.5,0.8,1,0.5,0.25,7\n", "row 1: 6 values, the header names 5"),
     "not_a_number": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,x,0.5,0.25\n",
                      "row 2: could not convert string to float: 'x'"),
+    # float reads past an underscore and surrounding whitespace, the
+    # reader does not: write_samples never writes either
+    "underscore": ("0.5,0.8,1,0.5,0.25\n0_5,0.8,1,0.5,0.25\n",
+                   "row 2: '_', a space, a tab or non-ASCII text"),
+    "padded": ("0.5, 0.8 ,1,0.5,0.25\n", "row 1: '_', a space, a tab or non-ASCII text"),
     # the csv module refuses a field over its size limit
     "huge_field": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,1,0.5," + "1" * 131073 + "\n",
                    "line 3: field larger than field limit (131072)"),
