@@ -48,9 +48,9 @@ area integral reduces to a boundary integral through the divergence
 identity div F = log|rho| with F(rho) = rho * (2*log|rho| - 1) / 4,
 evaluated by the trapezoidal rule on the Fourier parameterization of the
 boundary. For a closed smooth boundary and an evaluation point off the
-curve the rule converges spectrally, so quad_n = 256 nodes, the public
-functions' default (no config sets it), already give near machine
-accuracy away from the boundary.
+curve the rule converges spectrally, so quad_n = 256 nodes, field_grid's
+default and only use of quad_n (no sensor reaches the quadrature), already
+give near machine accuracy away from the boundary.
 
 An adiabatic wall along y = 0 is handled by the method of images, which
 is exact for an infinite straight wall: every heater gains a mirror copy
@@ -266,7 +266,7 @@ def _root_rows(c1, c2, q, dx, dy, r2, closed) -> np.ndarray:
     return closed
 
 
-def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
+def _heater_field(C, centers, q, pts: np.ndarray) -> np.ndarray:
     """Temperatures (m, p) of one heater per row at pts (p, 2).
 
     Row i is the heater with coefficients C[i] = (c1, c2), center
@@ -275,7 +275,7 @@ def _heater_field(C, centers, q, pts: np.ndarray, quad_n: int) -> np.ndarray:
     closed form runs on all pairs at once with no mask or copy. Otherwise
     the pairs outside the reach still take it and those inside take the
     root form (_root_rows). Either way a pair's value depends on no other
-    row or point, and no pair runs the quadrature: quad_n goes unused.
+    row or point, and no pair runs the quadrature.
     """
     dx = pts[:, 0] - centers[:, 0:1]
     dy = pts[:, 1] - centers[:, 1:2]
@@ -325,13 +325,10 @@ def _wall_clearance(C, centers) -> np.ndarray:
     return low
 
 
-def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
-           kernel) -> np.ndarray:
-    """stack_rows of m configurations, with kernel(C, centers, q, pts,
-    quad_n) giving the field (rows, p) of one heater per row for all
-    heaters and images."""
-    if quad_n < 32:
-        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
+def _stack(C, centers, q, m: int, h: int, points, wall: Wall, kernel) -> np.ndarray:
+    """stack_rows of m configurations, with kernel(C, centers, q, pts)
+    giving the field (rows, p) of one heater per row for all heaters and
+    images."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:  # one point
         pts = pts[None]
@@ -344,7 +341,7 @@ def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
         C = np.concatenate([C, C], axis=1).reshape(n * h, 2)
         centers = np.concatenate([centers, centers * [1.0, -1.0]], axis=1).reshape(n * h, 2)
         q = np.concatenate([q, q], axis=1).reshape(n * h)
-    each = kernel(C, centers, q, pts, quad_n)
+    each = kernel(C, centers, q, pts)
     # heaters add in order from +0.0, originals before mirror images (numpy
     # pairs the terms instead only for a single point and more than eight rows)
     total = each + 0.0 if h == 1 else each.reshape(n, h, p).sum(axis=1)
@@ -355,7 +352,7 @@ def _stack(C, centers, q, m: int, h: int, points, wall: Wall, quad_n: int,
     return out
 
 
-def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarray:
+def _configuration(heaters, points, wall: Wall, kernel) -> np.ndarray:
     """The (p,) row of _stack for one configuration of (HeaterShape, q)
     pairs; a rejected row raises. A one-coefficient shape is padded to
     (c1, 0.0); more than two coefficients raise ValueError."""
@@ -368,7 +365,7 @@ def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarr
         C[k, :len(shape.c)] = shape.c
     centers = np.array([s.center for s, _ in heaters], dtype=float).reshape(-1, 2)
     q = np.array([v for _, v in heaters], dtype=float)
-    out = _stack(C, centers, q, 1, len(heaters), points, wall, quad_n, kernel)[0]
+    out = _stack(C, centers, q, 1, len(heaters), points, wall, kernel)[0]
     if np.all(np.isfinite(out)):
         return out
     if wall is Wall.ADIABATIC_Y0:
@@ -377,11 +374,10 @@ def _configuration(heaters, points, wall: Wall, quad_n: int, kernel) -> np.ndarr
         if low[k] <= 0.0:
             raise WallGeometryError(f"heater at {heaters[k][0].center} crosses the wall "
                                     f"y = 0 (min y = {low[k]:.4g})")
-    raise FieldEvaluationError("non-finite temperature; point on a quadrature node?")
+    raise FieldEvaluationError("non-finite temperature")
 
 
-def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
-                 quad_n: int = 256) -> np.ndarray:
+def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED) -> np.ndarray:
     """Superposed heater temperatures at points (m, 2), relative to T_ref = 0.
 
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
@@ -391,11 +387,10 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED,
     strictly in y > 0: a heater crossing the wall raises
     WallGeometryError, a non-finite temperature FieldEvaluationError.
     """
-    return _configuration(heaters, points, wall, quad_n, _heater_field)
+    return _configuration(heaters, points, wall, _heater_field)
 
 
-def stack_rows(C, centers, q, h: int, points, wall: Wall = Wall.UNBOUNDED,
-               quad_n: int = 256) -> np.ndarray:
+def stack_rows(C, centers, q, h: int, points, wall: Wall = Wall.UNBOUNDED) -> np.ndarray:
     """Temperatures (m, p) of m configurations of h heaters each at points
     (p, 2), given as m * h heater rows: C (m * h, 2) of (c1, c2) with
     c1 > 0, centers (m * h, 2) and q (m * h,), configuration i's heaters at
@@ -408,12 +403,13 @@ def stack_rows(C, centers, q, h: int, points, wall: Wall = Wall.UNBOUNDED,
     non-finite rows: NaN when a heater crosses the wall, otherwise wherever
     the field is not finite.
     """
-    return _stack(C, centers, q, len(q) // h, h, points, wall, quad_n, _heater_field)
+    return _stack(C, centers, q, len(q) // h, h, points, wall, _heater_field)
 
 
 def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> np.ndarray:
-    """Noiseless sensor temperatures (d,) for the given heater configuration."""
-    return temperatures(heaters, sensors.points, sensors.wall, quad_n)
+    """Noiseless sensor temperatures (d,) for the given heater configuration;
+    quad_n is ignored (only the benchmark's trace hook reads it)."""
+    return temperatures(heaters, sensors.points, sensors.wall)
 
 
 def _expansion_data(shape: HeaterShape, q: float, moment_n: int):
@@ -484,8 +480,10 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     through _stack, as the points of temperatures do, but to the
     _pair_rows kernel: a cell outside a heater's (or image's) reach takes
     the closed form for that heater, and only the few cells inside it run
-    the quadrature.
+    the quadrature, on quad_n boundary nodes (at least 32).
     """
+    if quad_n < 32:
+        raise ValueError(f"quad_n must be at least 32, got {quad_n}")
     xmin, xmax, ymin, ymax = (float(v) for v in region)
     nx, ny = int(resolution[0]), int(resolution[1])
     if nx < 2 or ny < 2:
@@ -497,8 +495,8 @@ def field_grid(heaters, region, resolution, wall: Wall = Wall.UNBOUNDED,
     xs = xmin + (np.arange(nx) + 0.5) * (xmax - xmin) / nx
     ys = ymin + (np.arange(ny) + 0.5) * (ymax - ymin) / ny
     gx, gy = np.meshgrid(xs, ys)
-    vals = _configuration(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall, quad_n,
-                          _pair_rows)
+    vals = _configuration(heaters, np.column_stack([gx.ravel(), gy.ravel()]), wall,
+                          lambda *rows: _pair_rows(*rows, quad_n))
     return FieldGrid(vals.reshape(ny, nx), (xmin, xmax, ymin, ymax), wall)
 
 

@@ -169,15 +169,12 @@ _PROGRESS_EVERY = 10_000
 _INIT_RETRIES = 1000
 
 
-def _initialize(ladder: ChainLadder, target, canon, initial) -> None:
-    """Place every chain at a canonical, finite-posterior starting state."""
+def _initialize(ladder: ChainLadder, target, canon) -> None:
+    """Place every chain at a canonical, finite-posterior starting state:
+    its row of ladder.states, redrawn from its own stream while not finite."""
     lo, hi = ladder.bounds[:, 0], ladder.bounds[:, 1]
     for i in range(ladder.n_chains):
         x = ladder.states[i]
-        if i == ladder.n_chains - 1 and initial is not None:
-            x = np.asarray(initial, dtype=float)
-            if np.any(x < lo) or np.any(x > hi):
-                x = ladder.rngs[i].uniform(lo, hi)
         for _ in range(_INIT_RETRIES):
             if canon is not None:
                 x = canon(x[None])[0]
@@ -194,17 +191,17 @@ def _initialize(ladder: ChainLadder, target, canon, initial) -> None:
 
 
 def run(ladder: ChainLadder, target, schedule: McmcSchedule,
-        initial=None, canon=None, progress=sys.stderr) -> SampleSet:
+        canon=None, progress=sys.stderr) -> SampleSet:
     """Run both phases and return the trimmed cold-chain sample set.
 
     target maps a stack of states (m, dim) to their log posteriors (m,);
     canon, when given, maps such a stack to its canonical form.
 
-    The cold chain starts from `initial` when given (falling back to a
-    uniform draw if it lies outside the box). Phase 1 is adaptation and
-    is discarded entirely; burn-in and thinning apply to phase 2 only.
+    Each chain starts from its row of ladder.states. Phase 1 is
+    adaptation and is discarded entirely; burn-in and thinning apply to
+    phase 2 only.
     """
-    _initialize(ladder, target, canon, initial)
+    _initialize(ladder, target, canon)
     n = ladder.n_chains
     accepted = np.zeros((2, n), dtype=int)
     swap_acc = np.zeros(n - 1, dtype=int)

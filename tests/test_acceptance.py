@@ -90,13 +90,13 @@ def sensor_count_runs(tmp_path_factory):
 def test_criterion_1_forward_model_exactness():
     disk = [(HeaterShape((0.5,), (0.0, 0.0)), 1.0)]
     exact = -(np.pi / 4.0) / (2.0 * np.pi) * np.log(2.0)
-    got = temperatures(disk, [(2.0, 0.0)], quad_n=256)[0]
+    got = temperatures(disk, [(2.0, 0.0)])[0]
     rel = abs(got - exact) / abs(exact)
 
     start = time.perf_counter()
     reps = 200
     for _ in range(reps):
-        temperatures(disk, [(2.0, 0.0)], quad_n=256)[0]
+        temperatures(disk, [(2.0, 0.0)])[0]
     per_eval = (time.perf_counter() - start) / reps
     check(1, rel < 1e-4 and per_eval < 1e-3,
           f"rel err {rel:.2e}, {per_eval * 1e6:.0f} us/eval vs -0.08664")
@@ -137,7 +137,7 @@ def test_criterion_3_multipole_decay():
         for ang in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
             pt = (radius * np.cos(ang), radius * np.sin(ang))
             worst = max(worst, abs(temp_multipole(heater, pt)
-                                   - temperatures([heater], [pt], quad_n=512)[0]))
+                                   - temperatures([heater], [pt])[0]))
         errs[radius] = worst
     exponent = np.log2(errs[5.0] / errs[2.5])
     check(3, exponent <= -2.7,

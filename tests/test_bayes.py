@@ -340,10 +340,11 @@ def test_wall_mode_ladder_matches_scalar_scores():
                                 for x, s in zip(X, scores))
         return scores
 
-    batched = run(ChainLadder.create(spec.bounds, 5), make_log_posterior(obs, sensors, spec),
-                  sched, initial=pack([truth]), progress=None)
-    scalar = run(ChainLadder.create(spec.bounds, 5), alone, sched,
-                 initial=pack([truth]), progress=None)
+    ladders = [ChainLadder.create(spec.bounds, 5) for _ in range(2)]
+    for ladder in ladders:
+        ladder.states[-1] = pack([truth])
+    batched = run(ladders[0], make_log_posterior(obs, sensors, spec), sched, progress=None)
+    scalar = run(ladders[1], alone, sched, progress=None)
     np.testing.assert_array_equal(batched.samples, scalar.samples)
     for phase in ("phase1", "phase2"):
         np.testing.assert_array_equal(batched.acceptance_rates[phase],

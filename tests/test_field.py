@@ -191,7 +191,7 @@ def test_multipole_far_field_decay():
         for ang in np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False):
             pt = (0.5 + radius * np.cos(ang), 0.8 + radius * np.sin(ang))
             worst = max(worst, abs(temp_multipole(heater, pt)
-                                   - temperatures([heater], [pt], quad_n=512)[0]))
+                                   - temperatures([heater], [pt])[0]))
         errs[radius] = worst
     assert errs[5.0] < errs[2.5] / 8.0 * 1.05
 
@@ -285,6 +285,11 @@ def test_field_grid_wall_clips():
     assert g.values.shape == (4, 4)
 
 
+def test_field_grid_rejects_fewer_than_32_nodes():
+    with pytest.raises(ValueError, match="quad_n must be at least 32, got 16"):
+        field_grid([(DISK, 1.0)], (-1, 1, -1, 1), (4, 4), quad_n=16)
+
+
 def test_runtime_under_a_millisecond():
     heater = [(DISK, 1.0)]
     temperatures(heater, [(2.0, 0.0)])  # warm the trig table cache
@@ -366,12 +371,12 @@ SENSOR_LINE = np.column_stack([np.linspace(-1, 1, 12), np.zeros(12)])
 INSIDE = np.vstack([SENSOR_LINE, [[0.57, 0.25], [0.57, 0.98], [-0.6, 0.6]]])
 
 
-def _stack_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=256):
+def _stack_rows(C, centers, q, pts, wall=Wall.UNBOUNDED):
     """stack_rows of configurations given as C (m, h, 2), centers (m, h, 2)
     and q (m, h)."""
     m, h = q.shape
     return stack_rows(C.reshape(m * h, 2), centers.reshape(m * h, 2), q.reshape(m * h), h, pts,
-                      wall, quad_n)
+                      wall)
 
 
 def _pair_kernel_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=64):
@@ -379,7 +384,7 @@ def _pair_kernel_rows(C, centers, q, pts, wall=Wall.UNBOUNDED, quad_n=64):
     quadrature."""
     m, h = q.shape
     return fieldmod._stack(C.reshape(m * h, 2), centers.reshape(m * h, 2), q.reshape(m * h), m,
-                           h, pts, wall, quad_n, fieldmod._pair_rows)
+                           h, pts, wall, lambda *rows: fieldmod._pair_rows(*rows, quad_n))
 
 
 def _assert_exact_rows(monkeypatch, C, centers, q, pts, wall=Wall.UNBOUNDED):
@@ -417,7 +422,8 @@ def test_blocked_ladder_batch_is_bit_identical(monkeypatch):
     assert counts["offsets"] == 11
     for i in range(len(q)):
         heaters = [(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[i], centers[i], q[i])]
-        alone = fieldmod._configuration(heaters, INSIDE, Wall.UNBOUNDED, 64, fieldmod._pair_rows)
+        alone = fieldmod._configuration(heaters, INSIDE, Wall.UNBOUNDED,
+                                        lambda *rows: fieldmod._pair_rows(*rows, 64))
         assert rows[i].tobytes() == alone.tobytes()
     # every heater has a point in its reach: its in-reach pairs are the
     # quadrature's bit for bit, its others the closed form's, and the rows
@@ -553,7 +559,7 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
         return low
     monkeypatch.setattr(fieldmod, "_lowest_j2", recorded)
     counts = _count_kernel_work(monkeypatch)
-    rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0, 64)
+    rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
     assert not counts
     assert len(checked) == 2 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
     # the exact lowest points sit at or below the lowest of 65,536 nodes,
@@ -562,8 +568,7 @@ def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
     assert np.all(checked[1] <= dense) and np.all(dense - checked[1] < 1e-9)
     np.testing.assert_allclose(checked[1], [0.0363, -0.0637], atol=1e-4)
     assert np.isnan(rows[1]).all()
-    clear = _stack_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE,
-                        quad_n=64)
+    clear = _stack_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE)
     assert rows[[0, 2]].tobytes() == clear.tobytes()
 
 
@@ -597,7 +602,7 @@ def test_heater_sum_matches_the_ordered_loop():
             for k in range(h):
                 loop += each[:, k]
             got = fieldmod._stack(np.ones((5 * h, 2)), np.zeros((5 * h, 2)), np.ones(5 * h), 5,
-                                  h, np.zeros((p, 2)), Wall.UNBOUNDED, 256,
+                                  h, np.zeros((p, 2)), Wall.UNBOUNDED,
                                   lambda *a: each.reshape(5 * h, p))
             assert got.tobytes() == loop.tobytes()
             assert not np.signbit(got[0]).any()
@@ -610,7 +615,7 @@ def test_blocked_zero_rows(monkeypatch):
     centers = centers.reshape(0, 2, 2)
     counts = _count_kernel_work(monkeypatch)
     monkeypatch.setattr(fieldmod, "_BLOCK_ELEMS", 1)
-    rows = _stack_rows(C, centers, q, INSIDE, quad_n=64)
+    rows = _stack_rows(C, centers, q, INSIDE)
     assert rows.shape == (0, len(INSIDE))
     assert not counts
 
@@ -922,7 +927,7 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
     # comparison allows: 16 ulp of the row's max|T|.
     C, centers, q, config = _prior_box(name)
     pts = config.sensors.points
-    got = _stack_rows(C[:, None], centers[:, None], q[:, None], pts, quad_n=256)
+    got = _stack_rows(C[:, None], centers[:, None], q[:, None], pts)
     ref = quadrature_rows(C, centers, q, pts, 4096)
     before = quadrature_rows(C, centers, q, pts, 256)
     # the in-reach pairs are the root form's bit for bit, each pair on its

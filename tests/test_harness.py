@@ -537,8 +537,11 @@ BAD_SAMPLES = {
     # float reads past an underscore and surrounding whitespace, the
     # reader does not: write_samples never writes either
     "underscore": ("0.5,0.8,1,0.5,0.25\n0_5,0.8,1,0.5,0.25\n",
-                   "row 2: '_', a space, a tab or non-ASCII text"),
-    "padded": ("0.5, 0.8 ,1,0.5,0.25\n", "row 1: '_', a space, a tab or non-ASCII text"),
+                   "row 2: '_', whitespace or non-ASCII text"),
+    "padded": ("0.5, 0.8 ,1,0.5,0.25\n", "row 1: '_', whitespace or non-ASCII text"),
+    "vertical_tab": ("0.5,\x0b0.8,1,0.5,0.25\n", "row 1: '_', whitespace or non-ASCII text"),
+    "form_feed": ("0.5,0.8\x0c,1,0.5,0.25\n", "row 1: '_', whitespace or non-ASCII text"),
+    "quoted_newline": ('0.5,0.8,1,0.5,"0.25\n"\n', "row 1: '_', whitespace or non-ASCII text"),
     # the csv module refuses a field over its size limit
     "huge_field": ("0.5,0.8,1,0.5,0.25\n0.5,0.8,1,0.5," + "1" * 131073 + "\n",
                    "line 3: field larger than field limit (131072)"),

@@ -249,16 +249,23 @@ def test_run_caches_stay_coherent():
 
 
 def test_run_initial_state_honored():
-    target = _gauss_target([0.0], 0.2)
+    gauss = _gauss_target([0.0], 0.2)
+
+    def target(x):  # -inf outside BOX1, as a log prior scores it
+        return gauss(x) if np.all(np.abs(x) <= 10.0) else -np.inf
+
     sched = McmcSchedule(phase1_steps=0, phase2_steps=10, phase2_var=1e-12,
                          burn_in_fraction=0.0, thin=1)
     ladder = ChainLadder.create(BOX1, 9, exponents=(0,))
-    out = run(ladder, rows(target), sched, initial=np.array([0.125]), progress=None)
+    ladder.states[-1] = 0.125
+    out = run(ladder, rows(target), sched, progress=None)
     np.testing.assert_allclose(out.samples, 0.125, atol=1e-5)
-    # out-of-box initial falls back to a uniform draw
+    # an out-of-box start is redrawn once from the chain's own stream
     ladder = ChainLadder.create(BOX1, 9, exponents=(0,))
-    out = run(ladder, rows(target), sched, initial=np.array([99.0]), progress=None)
-    assert np.all(np.abs(out.samples) <= 10.0)
+    redraw = ChainLadder.create(BOX1, 9, exponents=(0,)).rngs[0].uniform(-10.0, 10.0)
+    ladder.states[-1] = 99.0
+    out = run(ladder, rows(target), sched, progress=None)
+    np.testing.assert_allclose(out.samples, redraw, atol=1e-5)
 
 
 def test_acceptance_rate_decreases_with_variance():
@@ -268,7 +275,8 @@ def test_acceptance_rate_decreases_with_variance():
         sched = McmcSchedule(phase1_steps=0, phase2_steps=4000, phase2_var=var,
                              thin=10)
         ladder = ChainLadder.create(BOX3, 21, exponents=(0,))
-        out = run(ladder, rows(target), sched, initial=np.zeros(3), progress=None)
+        ladder.states[-1] = 0.0
+        out = run(ladder, rows(target), sched, progress=None)
         rates.append(out.acceptance_rates["phase2"][0])
     assert rates[0] >= rates[1] >= rates[2]
 
