@@ -37,8 +37,8 @@ class Observation:
         vals = np.asarray(self.values, dtype=float).ravel()
         if not np.all(np.isfinite(vals)):
             raise ValueError("observation values must be finite")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
@@ -187,10 +187,14 @@ def _row(x) -> np.ndarray:
 def log_prior(x: np.ndarray, spec: StateSpec) -> float:
     """Box prior plus sharp Gaussians on known components.
 
-    -inf outside B, below the half-plane, or for a degenerate c_1 <= 0.
+    -inf outside B (an infinite component included), below the
+    half-plane, or for a degenerate c_1 <= 0. A NaN inside raises
+    ValueError, as in log_posterior.
     """
     x = _row(x)
-    inside = ~((x < spec._lo) | (x > spec._hi)).any(axis=1)  # a NaN compares as inside
+    inside = ~((x < spec._lo) | (x > spec._hi)).any(axis=1)
+    if inside[0]:  # a NaN compares as inside
+        _check_states(x, spec)
     return float(np.where(inside, _known_prior(x, spec), -np.inf)[0])
 
 

@@ -44,8 +44,8 @@ class McmcSchedule:
     def __post_init__(self):
         if self.phase1_steps < 0 or self.phase2_steps <= 0:
             raise ValueError("step counts must be positive")
-        if self.phase1_var <= 0 or self.phase2_var <= 0:
-            raise ValueError("proposal variances must be positive")
+        if not (0.0 < self.phase1_var < math.inf and 0.0 < self.phase2_var < math.inf):
+            raise ValueError("proposal variances must be positive and finite")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ValueError("burn_in_fraction must lie in [0, 1)")
         if self.thin < 1 or self.swap_interval < 1:
@@ -123,8 +123,8 @@ def mh_step(ladder: ChainLadder, target, var: float, canon=None) -> np.ndarray:
     from its own stream only when the move is not uphill, and updates its
     cached values on acceptance. Returns the acceptance flags (n_chains,).
     """
-    if var <= 0.0:
-        raise ValueError("proposal variance must be positive")
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"proposal variance must be positive and finite, got {var}")
     proposals = np.empty(ladder.states.shape)
     for rng, row in zip(ladder.rngs, proposals):
         rng.standard_normal(out=row)

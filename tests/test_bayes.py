@@ -1,6 +1,7 @@
 import collections
 import json
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -81,6 +82,20 @@ def test_log_prior_half_plane():
 def test_log_prior_out_of_box():
     spec = StateSpec.create(1)
     assert log_prior(pack([[3.0, 0.8, 1.0, 0.5, 0.0]]), spec) == -np.inf
+    # an infinite component lies outside the box; a NaN compares as inside
+    # and raises, as in log_likelihood and log_posterior
+    obs = _clean_obs()
+    for s in (spec, StateSpec.create(1, known={3: (0.5, 1e-6), 4: (0.25, 1e-6)})):
+        for i in range(BLOCK):
+            x = pack([TRUTH])
+            for bad in (np.inf, -np.inf):
+                x[i] = bad
+                assert log_prior(x, s) == log_posterior(x, obs, SENSORS, s) == -np.inf
+            x[i] = np.nan
+            for score in (log_prior, partial(log_likelihood, obs=obs, sensors=SENSORS),
+                          partial(log_posterior, obs=obs, sensors=SENSORS)):
+                with pytest.raises(ValueError, match="states must be finite"):
+                    score(x, spec=s)
 
 
 def test_log_prior_sharp_gaussian():
@@ -222,6 +237,10 @@ def test_wall_crossing_maps_to_rejection():
 def test_observation_validation():
     with pytest.raises(ValueError):
         Observation([0.0], -1e-3)
+    # a NaN sigma would score every state -inf, an infinite one every state 0
+    for sigma in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and non-negative"):
+            Observation([0.0], sigma)
     with pytest.raises(ValueError):
         Observation([np.nan], 1e-3)
     zero_noise = Observation([0.0, 0.0], 0.0)  # allowed for synthesis

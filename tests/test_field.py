@@ -533,43 +533,45 @@ def _with_images(C, centers, q):
             np.concatenate([q, q], axis=1))
 
 
-def test_wall_check_runs_only_where_the_reach_touches_the_wall(monkeypatch):
-    # every heater's center lies above its reach: no boundary node is drawn,
-    # and the rows are the unbounded rows of the stack with its images
-    C, centers, q = _ladder([0.43, 0.8, 1.1])
-    counts = _count_kernel_work(monkeypatch)
-    rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
-    alone = temperatures([(HeaterShape(c, ctr), s) for c, ctr, s in zip(C[0], centers[0], q[0])],
-                         SENSOR_LINE, Wall.ADIABATIC_Y0)
-    assert not counts
-    assert rows.tobytes() == _stack_rows(*_with_images(C, centers, q), SENSOR_LINE).tobytes()
-    assert alone.tobytes() == rows[0].tobytes()
-    # the heart at y0 = 0.4 lies within its reach (0.42) of the wall yet
-    # clears it (lowest point 0.036), the one at 0.3 crosses it: both get
-    # the exact check, and only they; no check draws a node
-    monkeypatch.undo()
-    C, centers, q = _ladder([0.4, 0.3, 0.8])
+def test_every_heater_takes_the_one_exact_wall_check(monkeypatch):
+    # one _lowest_j2 call checks every heater of the stack, those whose
+    # centre lies above their reach included, and no check draws a node. The
+    # heart at y0 = 0.4 lies within its reach (0.42) of the wall yet clears
+    # it (lowest point 0.036), and the one at 0.3 crosses it
+    C, centers, q = _ladder([0.43, 0.4, 0.3, 0.8, 1.1])
     checked = []
     real = fieldmod._lowest_j2
 
     def recorded(C, ctr):
-        checked.append(ctr.copy())
         low = real(C, ctr)
-        checked.append(low)
+        checked.append((ctr.copy(), low))
         return low
     monkeypatch.setattr(fieldmod, "_lowest_j2", recorded)
     counts = _count_kernel_work(monkeypatch)
     rows = _stack_rows(C, centers, q, SENSOR_LINE, Wall.ADIABATIC_Y0)
     assert not counts
-    assert len(checked) == 2 and checked[0].tolist() == [[0.5, 0.4], [0.5, 0.3]]
+    assert len(checked) == 1 and checked[0][0].tolist() == centers.reshape(-1, 2).tolist()
+    low = checked[0][1]
     # the exact lowest points sit at or below the lowest of 65,536 nodes,
     # by less than that node rule's own error
-    dense = node_rows(C[:2, 0], checked[0], 1 << 16)[1].min(axis=1)
-    assert np.all(checked[1] <= dense) and np.all(dense - checked[1] < 1e-9)
-    np.testing.assert_allclose(checked[1], [0.0363, -0.0637], atol=1e-4)
-    assert np.isnan(rows[1]).all()
-    clear = _stack_rows(*(a[[0, 2]] for a in _with_images(C, centers, q)), SENSOR_LINE)
-    assert rows[[0, 2]].tobytes() == clear.tobytes()
+    dense = node_rows(C.reshape(-1, 2), centers.reshape(-1, 2), 1 << 16)[1].min(axis=1)
+    assert np.all(low <= dense) and np.all(dense - low < 1e-9)
+    np.testing.assert_allclose(low[[2, 4]], [0.0363, -0.0637], atol=1e-4)
+    # a row is NaN exactly when one of its heaters reaches y = 0, and the
+    # clear rows are the unbounded rows of the stack with its images
+    crossing = (low <= 0.0).reshape(len(q), 2).any(axis=1)
+    assert crossing.tolist() == [False, False, True, False, False]
+    assert np.isnan(rows[crossing]).all() and np.isfinite(rows[~crossing]).all()
+    clear = _stack_rows(*(a[~crossing] for a in _with_images(C, centers, q)), SENSOR_LINE)
+    assert rows[~crossing].tobytes() == clear.tobytes()
+    monkeypatch.undo()
+    # one configuration is the same row, and a crossing one names the
+    # first heater that crosses, with its exact lowest point
+    heaters = [[(HeaterShape(c, ctr), s) for c, ctr, s in zip(*a)] for a in zip(C, centers, q)]
+    assert temperatures(heaters[0], SENSOR_LINE, Wall.ADIABATIC_Y0).tobytes() == rows[0].tobytes()
+    with pytest.raises(WallGeometryError, match=r"^heater at \(0\.5, 0\.3\) crosses the wall "
+                       r"y = 0 \(min y = -0\.06373\)$"):
+        temperatures(heaters[2], SENSOR_LINE, Wall.ADIABATIC_Y0)
 
 
 def test_exact_wall_clearance_is_the_dense_node_limit():
@@ -942,26 +944,33 @@ def test_prior_box_rows_are_no_less_accurate_than_the_quadrature(name):
 
 @pytest.mark.parametrize("wall", [Wall.UNBOUNDED, Wall.ADIABATIC_Y0])
 def test_prior_box_stacks_draw_no_boundary_node(monkeypatch, wall):
-    # 2,000 two-heater stacks across the prior box: the rows with a sensor in
+    # 4,000 two-heater stacks across the prior box: the rows with a sensor in
     # some heater's (or image's) reach take the root form, and in wall mode
-    # the heaters whose reach touches the wall take the exact check, so no
-    # call draws a node or measures an offset
+    # every heater takes the exact check once, so no call draws a node or
+    # measures an offset
     C, centers, q, config = _prior_box("two_heaters", 4000, seed=27)
     C, centers, q = C.reshape(-1, 2, 2), centers.reshape(-1, 2, 2), q.reshape(-1, 2)
     pts = config.sensors.points
     checked = []
     real = fieldmod._lowest_j2
-    monkeypatch.setattr(fieldmod, "_lowest_j2", lambda *a: checked.append(len(a[0])) or real(*a))
+    monkeypatch.setattr(fieldmod, "_lowest_j2", lambda *a: checked.append(real(*a)) or checked[-1])
     counts = _count_kernel_work(monkeypatch)
     rows = _stack_rows(C, centers, q, pts, wall)
     assert not counts
     if wall is Wall.ADIABATIC_Y0:
-        # a third to two thirds of the stacks cross the wall; every heater
-        # within its reach of the wall was checked
-        reaching = centers[:, :, 1] <= np.abs(C).sum(axis=2) * (1.0 + 1e-12)
-        assert 0.3 < np.isnan(rows).all(axis=1).mean() < 0.7
-        assert sum(checked) == np.count_nonzero(reaching)
+        # one check of all 8,000 heaters; a third to two thirds of the stacks
+        # cross the wall, and a row is NaN exactly when one of its heaters'
+        # exact lowest points is at or below y = 0
+        assert len(checked) == 1 and checked[0].shape == (C.size // 2,)
+        crossing = (checked[0] <= 0.0).reshape(len(q), 2).any(axis=1)
+        assert 0.3 < crossing.mean() < 0.7
+        assert np.isnan(rows[crossing]).all() and np.isfinite(rows[~crossing]).all()
+        # the clear rows are the unbounded rows of the stack with its images
         C, centers, q = _with_images(C, centers, q)
+        clear = _stack_rows(C[~crossing], centers[~crossing], q[~crossing], pts)
+        assert rows[~crossing].tobytes() == clear.tobytes()
+    else:
+        assert not checked
     assert np.isfinite(rows).all(axis=1).sum() + np.isnan(rows).all(axis=1).sum() == len(rows)
     inside = _in_reach(C.reshape(-1, 2), centers.reshape(-1, 2), q.reshape(-1), pts)[0]
     assert inside.any(axis=1).mean() > 0.2

@@ -43,8 +43,16 @@ def test_mh_step_proposal_identity_in_small_variance_limit():
 
 
 def test_mh_step_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        mh_step(_flat_ladder(np.zeros(2), np.random.default_rng(0)), _flat, 0.0)
+    # so does the schedule: an infinite phase-2 variance would run to the
+    # end accepting nothing
+    for var in (0.0, -1.0, np.nan, np.inf):
+        ladder = _flat_ladder(np.zeros(2), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="proposal variance must be positive and finite"):
+            mh_step(ladder, _flat, var)
+        assert ladder.states.tolist() == [[0.0, 0.0]]  # before any draw or target call
+        for name in ("phase1_var", "phase2_var"):
+            with pytest.raises(ValueError, match="proposal variances must be positive and finite"):
+                McmcSchedule(**{name: var})
 
 
 def test_mh_step_proposal_deterministic():
