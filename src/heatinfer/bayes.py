@@ -63,11 +63,15 @@ class StateSpec:
         b = np.asarray(self.bounds, dtype=float)
         if b.shape != (BLOCK * self.n_heaters, 2):
             raise ValueError(f"bounds must have shape ({BLOCK * self.n_heaters}, 2)")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("bounds must be finite")
         if np.any(b[:, 0] >= b[:, 1]):
             raise ValueError("each lower bound must be below its upper bound")
-        for i, (_, var) in self.known.items():
-            if var <= 0.0:
-                raise ValueError(f"known component {i}: variance must be positive")
+        for i, (mean, var) in self.known.items():
+            if not np.isfinite(mean):
+                raise ValueError(f"known component {i}: mean must be finite, got {mean}")
+            if not 0.0 < var < np.inf:
+                raise ValueError(f"known component {i}: variance must be positive and finite")
             if not (0 <= int(i) < BLOCK * self.n_heaters):
                 raise ValueError(f"known component index {i} out of range")
             # the log prior divides squared offsets within the box by var

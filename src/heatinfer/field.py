@@ -6,11 +6,8 @@ The temperature at r due to a heater region of uniform strength q is
 
 The boundary is z(w) = center + f(w), f(w) = c1 w + c2 w^2, on the unit
 circle |w| = 1, with c1 > 0: the paper's two-term Fourier shape, and the
-forward model's only one. temperatures, observe and field_grid pad a
-one-coefficient shape (a disk) to (c1, 0), which gives the same bytes at
-every point outside its reach, and raise ValueError for more than two
-coefficients. HeaterShape, curve_moments and the multipole expansion
-stay general.
+only one. HeaterShape holds (c1, c2), a disk as (c1, 0.0), and raises
+ValueError for more than two coefficients.
 
 The reach is R = c1 + |c2|: no boundary point lies further than R from
 the center. For a point p outside the reach, p' = p - center has
@@ -181,7 +178,7 @@ def _heater_rows(C, centers, q, pts: np.ndarray, quad_n: int, cells, out) -> np.
     """Boundary-integral temperatures of one heater per row at pts (p, 2),
     written into out (m, p) at the pairs that cells (m, p) marks; returns out.
 
-    Row i is the heater with coefficients C[i] (J,), center centers[i] and
+    Row i is the heater with coefficients C[i] = (c1, c2), center centers[i] and
     strength q[i]; its nodes come from boundary_nodes. Accuracy near the
     boundary degrades with node spacing, so a row's nodes are doubled once
     when any point lies within two node spacings of them. Doubling looks
@@ -189,7 +186,7 @@ def _heater_rows(C, centers, q, pts: np.ndarray, quad_n: int, cells, out) -> np.
     depend on which other pairs are marked.
 
     Offsets are measured only for the points that may be near a row: a
-    row's nodes lie within its reach sum_k |c_k| of its center, so only
+    row's nodes lie within its reach c1 + |c2| of its center, so only
     the points within the reach plus two node spacings (plus a margin of
     1e-12 of the lengths involved, far above their rounding) can be. Each
     row then walks its marked points on its own, block by block in one
@@ -288,7 +285,7 @@ def _heater_field(C, centers, q, pts: np.ndarray) -> np.ndarray:
     dy = pts[:, 1] - centers[:, 1:2]
     r2 = dx * dx + dy * dy
     c1, c2 = C[:, 0], C[:, 1]
-    reach = c1 + np.abs(c2)  # sum_k |c_k| bit for bit, since c_1 > 0
+    reach = c1 + np.abs(c2)  # |c1| + |c2| bit for bit, since c1 > 0
     outside = r2 > (reach * reach)[:, None]
     if np.count_nonzero(outside) == outside.size:
         return _exterior_j2(c1, c2, q, dx, dy, r2)
@@ -313,7 +310,10 @@ def _lowest_j2(C, centers) -> np.ndarray:
     c1 + 2 c2 u >= c1 > 0.
     """
     c1, c2 = C[:, 0], C[:, 1]
-    u = 4.0 * c2 / (c1 + np.sqrt(c1 * c1 + 32.0 * c2 * c2))
+    # u is scale-free: form it from c1, c2 scaled by the power of two of the
+    # reach, exactly, so that c1^2 + 32 c2^2 neither underflows nor overflows
+    s1, s2 = np.ldexp(C, -np.frexp(c1 + np.abs(c2))[1][:, None]).T
+    u = 4.0 * s2 / (s1 + np.sqrt(s1 * s1 + 32.0 * s2 * s2))
     return centers[:, 1] - np.sqrt(1.0 - u * u) * (c1 + 2.0 * c2 * u)
 
 
@@ -346,15 +346,9 @@ def _stack(C, centers, q, m: int, h: int, points, wall: Wall, kernel) -> np.ndar
 
 def _configuration(heaters, points, wall: Wall, kernel) -> np.ndarray:
     """The (p,) row of _stack for one configuration of (HeaterShape, q)
-    pairs; a rejected row raises. A one-coefficient shape is padded to
-    (c1, 0.0); more than two coefficients raise ValueError."""
+    pairs; a rejected row raises."""
     heaters = list(heaters)
-    C = np.zeros((len(heaters), 2))
-    for k, (shape, _) in enumerate(heaters):
-        if len(shape.c) > 2:
-            raise ValueError("a heater shape has at most two coefficients (c1, c2), "
-                             f"got {len(shape.c)}")
-        C[k, :len(shape.c)] = shape.c
+    C = np.array([s.c for s, _ in heaters], dtype=float).reshape(-1, 2)
     centers = np.array([s.center for s, _ in heaters], dtype=float).reshape(-1, 2)
     q = np.array([v for _, v in heaters], dtype=float)
     out = _stack(C, centers, q, 1, len(heaters), points, wall, kernel)[0]
@@ -374,9 +368,8 @@ def temperatures(heaters, points, wall: Wall = Wall.UNBOUNDED) -> np.ndarray:
 
     heaters is a sequence of (HeaterShape, strength) pairs; overlapping
     regions superpose additively. This is stack_rows' row for the one
-    configuration, bit for bit. A shape with more than two coefficients
-    raises ValueError. With an adiabatic wall all heater regions must lie
-    strictly in y > 0: a heater crossing the wall raises
+    configuration, bit for bit. With an adiabatic wall all heater regions
+    must lie strictly in y > 0: a heater crossing the wall raises
     WallGeometryError, a non-finite temperature FieldEvaluationError.
     """
     return _configuration(heaters, points, wall, _heater_field)
@@ -404,20 +397,20 @@ def observe(heaters, sensors: SensorArray, quad_n: int = 256) -> np.ndarray:
     return temperatures(heaters, sensors.points, sensors.wall)
 
 
-def _expansion_data(shape: HeaterShape, q: float, moment_n: int):
+def _expansion_data(shape: HeaterShape, q: float):
     """Total heat, expansion point, and second moment about the centroid.
 
     The far-field expansion is taken about the area centroid so that the
     first-moment term vanishes identically and the remainder is O(1/r^3).
     """
-    md = curve_moments(shape, moment_n)
+    md = curve_moments(shape)
     d = md.centroid_offset
     m_c = md.second_moment - md.area * np.outer(d, d)
     expansion_pt = np.asarray(shape.center) + d
     return q * md.area, md.area, expansion_pt, m_c
 
 
-def temp_multipole(heater, point, moment_n: int = 64) -> float:
+def temp_multipole(heater, point) -> float:
     """Two-term far-field temperature of a single heater.
 
     T = -(Q / 2*pi) log r - (q / 4*pi) M_ij (delta_ij / r^2 - 2 r_i r_j / r^4)
@@ -427,7 +420,7 @@ def temp_multipole(heater, point, moment_n: int = 64) -> float:
     monopole behaviour for circles; O(1/r^3) error otherwise.
     """
     shape, q = heater
-    Q, _, xp, m_c = _expansion_data(shape, q, moment_n)
+    Q, _, xp, m_c = _expansion_data(shape, q)
     r = np.asarray(point, dtype=float) - xp
     r2 = float(r @ r)
     if r2 == 0.0:
@@ -436,7 +429,7 @@ def temp_multipole(heater, point, moment_n: int = 64) -> float:
     return float(-Q / (4.0 * np.pi) * np.log(r2) - q / (4.0 * np.pi) * bracket)
 
 
-def jacobian_multipole(heater, sensors: SensorArray, moment_n: int = 64) -> np.ndarray:
+def jacobian_multipole(heater, sensors: SensorArray) -> np.ndarray:
     """Sensitivities d T / d (x0, y0, q) of the two-term expansion.
 
     Row alpha holds the derivatives at sensor alpha with the shape held
@@ -444,7 +437,7 @@ def jacobian_multipole(heater, sensors: SensorArray, moment_n: int = 64) -> np.n
     d/dx0 = -d/dr_x.
     """
     shape, q = heater
-    Q, area, xp, m_c = _expansion_data(shape, q, moment_n)
+    Q, area, xp, m_c = _expansion_data(shape, q)
     pts = sensors.points
     r = pts - xp[None, :]
     r2 = np.sum(r * r, axis=1)

@@ -1,13 +1,13 @@
-"""Heater regions bounded by truncated Fourier series.
+"""Heater regions bounded by two-term Fourier series.
 
 A heater boundary is traced by
 
-    x(t) = x0 + sum_k c_k cos(k t),    y(t) = y0 + sum_k c_k sin(k t)
+    x(t) = x0 + c1 cos(t) + c2 cos(2t),    y(t) = y0 + c1 sin(t) + c2 sin(2t)
 
-for t in [0, 2*pi), with real coefficients c_k. c_1 plays the role of a
-basic radius; higher coefficients deform the circle. All geometric
-quantities (boundary nodes, area, first/second moments) derive from
-this parameterization.
+for t in [0, 2*pi): the image of the unit circle under
+z(w) = center + c1 w + c2 w^2, with c1 > 0 a basic radius and c2 its
+deformation. The boundary nodes feed the grid quadrature; the area and
+moments are closed forms of (c1, c2).
 """
 
 import math
@@ -17,14 +17,14 @@ import numpy as np
 
 
 class DegenerateShapeError(ValueError):
-    """Raised when a boundary has no positive radius or net area."""
+    """Raised when a boundary has no positive radius."""
 
 
 @dataclass(frozen=True)
 class HeaterShape:
     """Fourier-parameterized heater region.
 
-    c       : real Fourier coefficients (c_1, c_2, ...); c_1 > 0
+    c       : Fourier coefficients (c1, c2) with c1 > 0; (c1,) is the disk (c1, 0.0)
     center  : (x0, y0) position of the parameterization center
     """
 
@@ -36,11 +36,13 @@ class HeaterShape:
         center = (float(self.center[0]), float(self.center[1]))
         if len(c) == 0:
             raise ValueError("coefficient sequence must be non-empty")
+        if len(c) > 2:
+            raise ValueError(f"a heater shape has at most two coefficients (c1, c2), got {len(c)}")
         if not all(math.isfinite(v) for v in c + center):
             raise ValueError("coefficients and center must be finite")
         if c[0] <= 0.0:
             raise DegenerateShapeError(f"c_1 must be positive, got {c[0]}")
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", (c + (0.0,))[:2])
         object.__setattr__(self, "center", center)
 
 
@@ -63,31 +65,30 @@ class MomentData:
         return self.first_moment / self.area
 
 
-# cos/sin tables keyed by (n, number of coefficients); shared across calls
+# cos/sin tables of (t_j, 2 t_j) keyed by n; shared across calls
 _TRIG_TABLES: dict = {}
 
 
-def _tables(n: int, n_coef: int):
-    key = (n, n_coef)
-    tab = _TRIG_TABLES.get(key)
+def _tables(n: int):
+    tab = _TRIG_TABLES.get(n)
     if tab is None:
         theta = 2.0 * np.pi * np.arange(n) / n
-        ks = np.arange(1.0, n_coef + 1.0)
+        ks = np.array([1.0, 2.0])
         tab = (np.cos(np.outer(theta, ks)), np.sin(np.outer(theta, ks)), ks)
-        _TRIG_TABLES[key] = tab
+        _TRIG_TABLES[n] = tab
     return tab
 
 
 def node_rows(C: np.ndarray, centers: np.ndarray, n: int):
     """Boundary samples and analytic tangents of m shapes at t_j = 2*pi*j/n.
 
-    C holds the shapes' coefficients (m, J) and centers their centers
+    C holds the shapes' coefficients (m, 2) and centers their centers
     (m, 2). Returns (x, y, dx, dy), each (m, n), where (dx, dy) is the
     derivative of the parameterization with respect to t. Each row is a
     stacked matrix-vector product, so it matches the one-shape product
     bit for bit.
     """
-    ct, st, ks = _tables(n, C.shape[1])
+    ct, st, ks = _tables(n)
     c = C[:, :, None]
     kc = (ks * C)[:, :, None]
     x = centers[:, 0:1] + (ct @ c)[:, :, 0]
@@ -97,26 +98,21 @@ def node_rows(C: np.ndarray, centers: np.ndarray, n: int):
     return x, y, dx, dy
 
 
-def curve_moments(shape: HeaterShape, n: int = 64) -> MomentData:
+def curve_moments(shape: HeaterShape) -> MomentData:
     """Moments of the continuous Fourier region, about (x0, y0).
 
-    Green's theorem turns each area integral into a closed boundary
-    integral whose integrand is a trigonometric polynomial; the
-    trapezoidal rule is then exact once n exceeds its degree (4J + 1
-    for the second moments). Used by the far-field expansion, which
-    needs moments free of polygon discretization error.
+    Pulled back to the unit disk by z = c1 w + c2 w^2, each is the disk
+    integral of a polynomial in w and conj(w) times |c1 + 2 c2 w|^2, and
+    the disk integral of w^n conj(w)^m is pi delta_nm / (n + 1). So
+
+        A = pi (c1^2 + 2 c2^2),    F = (pi c1^2 c2, 0),
+        M = (pi / 2) (c1^4 / 2 + 3 c1^2 c2^2 + c2^4) I,
+
+    with no discretization; a self-overlap (c1 < 2|c2|) counts its doubly
+    covered part twice, as its boundary integral does.
     """
-    c = np.asarray(shape.c)
-    if n <= 4 * len(c):
-        raise ValueError(f"n must exceed 4*len(c) = {4 * len(c)}")
-    x, y, dx, dy = (a[0] for a in node_rows(c[None], np.zeros((1, 2)), n))
-    w = 2.0 * np.pi / n
-    area = 0.5 * float(np.sum(x * dy - y * dx)) * w
-    if area <= 0.0:
-        raise DegenerateShapeError(f"boundary encloses non-positive area {area}")
-    fx = 0.5 * float(np.sum(x * x * dy)) * w
-    fy = -0.5 * float(np.sum(y * y * dx)) * w
-    mxx = float(np.sum(x ** 3 * dy)) / 3.0 * w
-    myy = -float(np.sum(y ** 3 * dx)) / 3.0 * w
-    mxy = 0.5 * float(np.sum(x * x * y * dy)) * w
-    return MomentData(area, np.array([fx, fy]), np.array([[mxx, mxy], [mxy, myy]]))
+    c1, c2 = shape.c
+    c11, c22 = c1 * c1, c2 * c2
+    m = 0.5 * np.pi * (0.5 * c11 * c11 + 3.0 * c11 * c22 + c22 * c22)
+    return MomentData(np.pi * (c11 + 2.0 * c22), np.array([np.pi * c11 * c2, 0.0]),
+                      m * np.eye(2))

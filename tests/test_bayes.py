@@ -111,6 +111,16 @@ def test_spec_validation():
         StateSpec.create(1, block_bounds=((1.0, -1.0),) * 5)
     with pytest.raises(ValueError):
         StateSpec.create(1, block_bounds=((-2, 2), (-1, 2), (0, 10), (0, 1), (-0.5, 0.5)))
+    # a NaN known mean or variance would score every state NaN, and a NaN
+    # bound would pass the order check and read as no bound at all
+    for known in ({4: (np.nan, 1e-6)}, {4: (0.0, np.nan)}):
+        with pytest.raises(ValueError, match="known component 4"):
+            StateSpec.create(1, known=known)
+    for k in range(2):
+        bounds = [list(b) for b in ((-2, 2), (0, 2), (0, 10), (0, 1), (-0.5, 0.5))]
+        bounds[0][k] = np.nan
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            StateSpec.create(1, block_bounds=bounds)
 
 
 def test_likelihood_zero_at_truth():

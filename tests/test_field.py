@@ -589,6 +589,17 @@ def test_exact_wall_clearance_is_the_dense_node_limit():
     reach = np.abs(C).sum(axis=1)
     assert np.all(low <= dense) and np.all(dense - low <= 1e-8 * reach)
     np.testing.assert_array_equal(low[:3], centers[:3, 1] - c1[:3])
+    # the rule is scale-free, also where c1^2 + 32 c2^2 would underflow or
+    # overflow: a 1e-300 heater at y0 = 0.3 clears the wall with no invalid
+    # value, and one of scale 1e200 reaches 0.0990 of its scale below y = 0
+    with np.errstate(invalid="raise", over="raise", divide="raise"):
+        low = fieldmod._lowest_j2(np.array([[1e-300, 1e-300], [1e200, 5e199]]),
+                                  np.array([[0.5, 0.3], [0.0, 1.2e200]]))
+        unit = fieldmod._lowest_j2(np.array([[1.0, 0.5]]), np.array([[0.0, 1.2]]))
+        assert np.isfinite(temperatures([(HeaterShape((1e-300, 1e-300), (0.5, 0.3)), 1.0)],
+                                        SENSOR_LINE, Wall.ADIABATIC_Y0)).all()
+    assert low[0] == 0.3 and low[1] == pytest.approx(1e200 * unit[0], rel=1e-14)
+    assert low[1] == pytest.approx(-9.9038e198, rel=1e-4)
 
 
 def test_heater_sum_matches_the_ordered_loop():
@@ -802,18 +813,12 @@ def test_closed_form_of_a_circle_is_the_exact_monopole():
 
 
 def test_more_than_two_coefficients_fail_early():
-    # the forward model takes (c1, c2) only: each entry point raises one
-    # ValueError naming the count; the moments and the multipole expansion
-    # stay general
-    three = HeaterShape((0.3, 0.1, 0.05), (0.5, 0.8))
-    heaters = [(HEART, 1.0), (three, 1.0)]
-    sensors = SensorArray([[-1.0, 0.0], [1.0, 0.0]])
-    for call in (lambda: temperatures(heaters, sensors.points),
-                 lambda: observe(heaters, sensors),
-                 lambda: field_grid(heaters, (-1, 1, 0, 2), (4, 4))):
-        with pytest.raises(ValueError, match=r"at most two coefficients \(c1, c2\), got 3"):
-            call()
-    assert np.isfinite(temp_multipole((three, 1.0), (3.0, 3.0)))
+    # a shape is (c1, c2): constructing one with three coefficients raises
+    # one ValueError naming the count, and a disk is stored as (c1, 0.0)
+    with pytest.raises(ValueError, match=r"^a heater shape has at most two coefficients "
+                       r"\(c1, c2\), got 3$"):
+        HeaterShape((0.3, 0.1, 0.05), (0.5, 0.8))
+    assert HeaterShape((0.5,), (0.5, 0.8)).c == (0.5, 0.0)
 
 
 # --- root form inside the reach: exact at every point off the boundary ---
